@@ -132,13 +132,18 @@ def a_set_infimum(
     return t_best
 
 
-def alpha_of_delta(f: DivergenceGenerator, delta: float) -> float:
-    """Bayes-error lower bound for divergence below delta (Theorem-style min)."""
+def _alpha_branches(f: DivergenceGenerator, delta: float):
+    """(Delta* result, 1/(2 Delta*) branch, A-set infimum branch) at delta."""
     if delta <= 0:
         raise ValueError("delta must be > 0")
     star = capital_delta_star(f, delta)
     branch1 = 1.0 / (2.0 * star.value) if star.feasible else 0.5
-    branch2 = a_set_infimum(f, delta)
+    return star, branch1, a_set_infimum(f, delta)
+
+
+def alpha_of_delta(f: DivergenceGenerator, delta: float) -> float:
+    """Bayes-error lower bound for divergence below delta (Theorem-style min)."""
+    _, branch1, branch2 = _alpha_branches(f, delta)
     return min(branch1, branch2)
 
 
@@ -169,9 +174,7 @@ def threshold_report(f: DivergenceGenerator, epsilon=None, delta=None) -> dict:
         out["delta_star"] = delta
     else:
         out["delta"] = delta
-    star = capital_delta_star(f, delta)
-    branch1 = 1.0 / (2.0 * star.value) if star.feasible else 0.5
-    branch2 = a_set_infimum(f, delta)
+    star, branch1, branch2 = _alpha_branches(f, delta)
     out["alpha_of_delta"] = min(branch1, branch2)
     out["branch_values"] = {
         "half_inverse_delta_star": branch1,

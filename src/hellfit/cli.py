@@ -11,7 +11,6 @@ import argparse
 import csv
 import io
 import json
-import os
 import sys
 
 import numpy as np
@@ -46,10 +45,10 @@ def _bounds_arg(text):
     return out
 
 
-def _threads_arg(text):
+def _positive_int_arg(text):
     value = int(text)
     if value < 1:
-        raise argparse.ArgumentTypeError("threads must be >= 1")
+        raise argparse.ArgumentTypeError("must be a positive integer")
     return value
 
 
@@ -57,12 +56,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hellfit",
         description="Two-sample closeness via equal-mass bins and the Hellinger distance",
-    )
-    parser.add_argument(
-        "--threads",
-        type=_threads_arg,
-        default=int(os.environ.get("HELLFIT_THREADS", "1")),
-        help="worker cap (execution is currently single-threaded)",
     )
     parser.add_argument("--output", help="write the report here instead of stdout")
     parser.add_argument(
@@ -77,7 +70,6 @@ def build_parser() -> argparse.ArgumentParser:
     fit.add_argument("--branching", type=_branching_arg, required=True)
     fit.add_argument("--epsilon", type=_epsilon_arg, required=True)
     fit.add_argument("--bounds", type=_bounds_arg, help="per-axis lo:hi pairs, comma separated")
-    fit.add_argument("--seed", type=int, default=0)
 
     thr = sub.add_parser("threshold", help="Bayes-error threshold machinery")
     thr.add_argument("--generator", default="hellinger")
@@ -96,10 +88,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     val = sub.add_parser("validate", help="Monte Carlo check of a risk theorem")
     val.add_argument("--theorem", type=int, choices=[2, 3, 4], required=True)
-    val.add_argument("--n", type=int)
+    val.add_argument("--n", type=_positive_int_arg)
     val.add_argument("--n1", type=int, default=10**3)
     val.add_argument("--n2", type=int, default=10**5)
-    val.add_argument("--replicates", type=int)
+    val.add_argument("--replicates", type=_positive_int_arg)
     val.add_argument("--seed", type=int, default=0)
     val.add_argument(
         "--config",

@@ -136,6 +136,8 @@ def one_sample_risk_moving(config: ExperimentConfig) -> RiskEstimate:
     dist = config.distribution
     if not hasattr(dist, "region_mass"):
         raise ValueError("moving-region risk needs a distribution with known masses")
+    if config.replicates < 1:
+        raise ValueError("replicates must be >= 1")
     values = np.empty(config.replicates)
     p_prime = None
     for rep in range(config.replicates):
@@ -213,6 +215,8 @@ def bias_bound_check(
     Per replicate the partition is rebuilt from a fresh model sample; the
     true-mass divergence uses exact region masses under both distributions.
     """
+    if replicates < 1:
+        raise ValueError("replicates must be >= 1")
     d_true = np.empty(replicates)
     d_hat = np.empty(replicates)
     p_prime = None

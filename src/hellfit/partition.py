@@ -5,11 +5,20 @@ region the split points are order statistics of the building sample restricted
 to that region, taken at indices floor(n_region * s / branching).  Intervals
 are half-open (lo, hi]; the first and last interval of every split extend to
 the axis support bounds.
+
+A partition is stored level by level.  ``breaks[level]`` lists the sorted
+split points of every region at that level, regions in lexicographic path
+order; a region with ``b`` breaks has ``b + 1`` children.  The children of
+region ``r`` are the regions ``first[r], first[r] + 1, ...`` of the next level,
+where ``first`` is the running sum of the fan-outs before ``r``.  A leaf id is
+the region's number below the last level, so one lookup per level,
+``ids = first[ids] + #(breaks[ids] < x[axis])``, assigns a point to its leaf.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 import json
 import math
 
@@ -78,30 +87,56 @@ class Leaf:
     count: int | None  # building-sample count; None for fixed grids
 
 
-class _Node:
-    __slots__ = ("axis", "breaks", "children", "leaf")
-
-    def __init__(self, axis=None, breaks=None, children=None, leaf=None):
-        self.axis = axis
-        self.breaks = breaks
-        self.children = children
-        self.leaf = leaf
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PartitionTree:
-    """Immutable nested-region partition with leaves in lexicographic order."""
+    """Immutable nested-region partition stored level by level.
+
+    ``breaks[level][r]`` holds the sorted split points of region ``r`` of that
+    level; ``counts`` holds the building-sample count per leaf, or is None for
+    fixed grids.  ``leaves`` is a derived view in lexicographic order.
+    """
 
     k: int
-    depth: int
     axes: tuple[int, ...]  # split axis per level
     bounds: tuple[tuple[float, float], ...]
-    leaves: tuple[Leaf, ...]
-    root: _Node = field(repr=False, compare=False)
+    breaks: tuple[tuple[np.ndarray, ...], ...]
+    counts: tuple[int, ...] | None
+
+    @property
+    def depth(self) -> int:
+        return len(self.axes)
+
+    @cached_property
+    def _lookup(self) -> list[tuple[np.ndarray, np.ndarray]]:
+        # per level: each region's first child id and its +inf-padded breaks
+        out = []
+        for level in self.breaks:
+            fan = np.array([len(b) + 1 for b in level])
+            padded = np.full((len(level), fan.max() - 1), np.inf)
+            for r, b in enumerate(level):
+                padded[r, : len(b)] = b
+            out.append((np.cumsum(fan) - fan, padded))
+        return out
 
     @property
     def leaf_count(self) -> int:
-        return len(self.leaves)
+        return sum(len(b) + 1 for b in self.breaks[-1])
+
+    @cached_property
+    def leaves(self) -> tuple[Leaf, ...]:
+        chains = [((), ())]
+        for axis, level in zip(self.axes, self.breaks):
+            lo, hi = self.bounds[axis]
+            chains = [
+                (path + (j,), intervals + (edge,))
+                for (path, intervals), b in zip(chains, level)
+                for j, edge in enumerate(zip([lo, *b], [*b, hi]))
+            ]
+        counts = self.counts or (None,) * len(chains)
+        return tuple(
+            Leaf(i, path, intervals, count)
+            for i, ((path, intervals), count) in enumerate(zip(chains, counts))
+        )
 
 
 def build_moving_partition(model_sample: Dataset, spec: PartitionSpec) -> PartitionTree:
@@ -112,45 +147,33 @@ def build_moving_partition(model_sample: Dataset, spec: PartitionSpec) -> Partit
     if max(axes) >= model_sample.k:
         raise ValueError("axis_order references a missing coordinate")
 
-    leaves: list[Leaf] = []
-
-    def build(values, path, intervals):
-        level = len(path)
-        if level == spec.depth:
-            leaf = Leaf(len(leaves), path, tuple(intervals), len(values))
-            leaves.append(leaf)
-            return _Node(leaf=leaf)
-        bins = spec.branching_at(path)
-        n = len(values)
-        if n < bins:
-            raise CapacityError(
-                f"region {path}: {n} building points cannot fill {bins} bins"
-            )
-        axis = axes[level]
-        order = np.argsort(values[:, axis], kind="stable")
-        values = values[order]
-        col = values[:, axis]
-        cuts = [n * j // bins for j in range(bins + 1)]
-        breaks = col[np.asarray(cuts[1:-1], dtype=int) - 1]  # order stats, 1-indexed
-        lo_bound, hi_bound = model_sample.bounds[axis]
-        children = []
-        for j in range(bins):
-            lo = lo_bound if j == 0 else breaks[j - 1]
-            hi = hi_bound if j == bins - 1 else breaks[j]
-            children.append(
-                build(values[cuts[j]:cuts[j + 1]], path + (j,), intervals + [(lo, hi)])
-            )
-        return _Node(axis=axis, breaks=breaks, children=children)
-
-    root = build(model_sample.values, (), [])
-    return PartitionTree(
-        k=model_sample.k,
-        depth=spec.depth,
-        axes=axes,
-        bounds=model_sample.bounds,
-        leaves=tuple(leaves),
-        root=root,
-    )
+    # region r of the current level owns rows[starts[r]:starts[r + 1]], in the
+    # order a stable sort of its parent region left them
+    rows = np.arange(model_sample.n)
+    starts = [0, model_sample.n]
+    paths = [()]
+    breaks = []
+    for axis in axes:
+        col = model_sample.values[rows, axis]
+        level_breaks, next_starts, next_paths = [], [0], []
+        for r, path in enumerate(paths):
+            lo, hi = starts[r], starts[r + 1]
+            n, bins = hi - lo, spec.branching_at(path)
+            if n < bins:
+                raise CapacityError(
+                    f"region {path}: {n} building points cannot fill {bins} bins"
+                )
+            order = np.argsort(col[lo:hi], kind="stable")
+            rows[lo:hi] = rows[lo:hi][order]
+            cuts = [n * j // bins for j in range(bins + 1)]
+            # order statistics, 1-indexed
+            level_breaks.append(col[lo + order[np.asarray(cuts[1:-1]) - 1]])
+            next_starts += [lo + c for c in cuts[1:]]
+            next_paths += [path + (j,) for j in range(bins)]
+        breaks.append(tuple(level_breaks))
+        starts, paths = next_starts, next_paths
+    counts = tuple(np.diff(starts).tolist())
+    return PartitionTree(model_sample.k, axes, model_sample.bounds, tuple(breaks), counts)
 
 
 def build_fixed_partition(grid, bounds=None) -> PartitionTree:
@@ -163,86 +186,42 @@ def build_fixed_partition(grid, bounds=None) -> PartitionTree:
         if g.size and np.any(np.diff(g) <= 0):
             raise ValueError(f"axis {i}: breakpoints must be strictly increasing")
     bounds = tuple(bounds) if bounds else tuple((-np.inf, np.inf) for _ in range(k))
+    breaks, regions = [], 1
+    for g in grid:
+        breaks.append((g,) * regions)
+        regions *= g.size + 1
+    return PartitionTree(k, tuple(range(k)), bounds, tuple(breaks), None)
 
-    leaves: list[Leaf] = []
 
-    def build(path, intervals):
-        level = len(path)
-        if level == k:
-            leaf = Leaf(len(leaves), path, tuple(intervals), None)
-            leaves.append(leaf)
-            return _Node(leaf=leaf)
-        breaks = grid[level]
-        lo_bound, hi_bound = bounds[level]
-        children = []
-        for j in range(breaks.size + 1):
-            lo = lo_bound if j == 0 else breaks[j - 1]
-            hi = hi_bound if j == breaks.size else breaks[j]
-            children.append(build(path + (j,), intervals + [(lo, hi)]))
-        return _Node(axis=level, breaks=breaks, children=children)
-
-    root = build((), [])
-    return PartitionTree(
-        k=k, depth=k, axes=tuple(range(k)), bounds=bounds, leaves=tuple(leaves), root=root
-    )
+def assign(tree: PartitionTree, values) -> np.ndarray:
+    """Leaf id of every row of values, the leaf whose (lo, hi] chain holds it."""
+    values = np.asarray(values, dtype=float)
+    ids = np.zeros(len(values), dtype=np.intp)
+    for axis, (first, padded) in zip(tree.axes, tree._lookup):
+        ids = first[ids] + np.sum(padded[ids] < values[:, axis, None], axis=1)
+    return ids
 
 
 def locate(tree: PartitionTree, point) -> int:
     """Index of the unique leaf whose (lo, hi] interval chain contains point."""
-    point = np.asarray(point, dtype=float)
-    node = tree.root
-    while node.leaf is None:
-        j = int(np.searchsorted(node.breaks, point[node.axis], side="left"))
-        node = node.children[j]
-    return node.leaf.index
+    return int(assign(tree, np.asarray(point, dtype=float)[None, :])[0])
 
 
 def count_into_bins(tree: PartitionTree, sample: Dataset):
     """Vector of per-leaf row counts for the sample; sums to sample.n."""
     if sample.k != tree.k:
         raise ValueError(f"sample dimension {sample.k} != tree dimension {tree.k}")
-    counts = np.zeros(tree.leaf_count, dtype=np.int64)
-
-    def descend(node, values):
-        if node.leaf is not None:
-            counts[node.leaf.index] += len(values)
-            return
-        idx = np.searchsorted(node.breaks, values[:, node.axis], side="left")
-        for j, child in enumerate(node.children):
-            sub = values[idx == j]
-            if len(sub):
-                descend(child, sub)
-
-    descend(tree.root, sample.values)
-    return counts
+    return np.bincount(assign(tree, sample.values), minlength=tree.leaf_count)
 
 
 def model_pmf(tree: PartitionTree) -> np.ndarray:
     """Theoretical equal-mass leaf probabilities 1/(product of branchings)."""
-    if any(leaf.count is None for leaf in tree.leaves):
+    if tree.counts is None:
         raise ValueError("model_pmf requires a moving partition")
-    probs = np.empty(tree.leaf_count)
-    sizes = _sibling_counts(tree.root)
-    for leaf in tree.leaves:
-        total = 1
-        for level in range(tree.depth):
-            total *= sizes[leaf.path[:level]]
-        probs[leaf.index] = 1.0 / total
-    return probs
-
-
-def _sibling_counts(root) -> dict:
-    sizes = {}
-
-    def walk(node, path):
-        if node.leaf is not None:
-            return
-        sizes[path] = len(node.children)
-        for j, child in enumerate(node.children):
-            walk(child, path + (j,))
-
-    walk(root, ())
-    return sizes
+    totals = [1]  # integer products of the fan-outs along each leaf's path
+    for level in tree.breaks:
+        totals = [t * (len(b) + 1) for t, b in zip(totals, level) for _ in range(len(b) + 1)]
+    return 1.0 / np.array(totals, dtype=float)
 
 
 def free_param_count(tree: PartitionTree) -> int:
@@ -253,12 +232,6 @@ def free_param_count(tree: PartitionTree) -> int:
 def _endpoint_to_json(x: float):
     if math.isinf(x):
         return "inf" if x > 0 else "-inf"
-    return float(x)
-
-
-def _endpoint_from_json(x) -> float:
-    if isinstance(x, str):
-        return float(x)
     return float(x)
 
 
@@ -284,42 +257,35 @@ def tree_to_json(tree: PartitionTree) -> str:
 
 
 def tree_from_json(text: str) -> PartitionTree:
+    """Partition from ``tree_to_json`` output.
+
+    Raises ValueError unless the document's leaves are exactly the
+    lexicographic leaves of the partition that their ``hi`` ends describe.
+    """
     doc = json.loads(text)
-    axes = tuple(doc["axes"])
-    depth = doc["depth"]
-    bounds = tuple(
-        (_endpoint_from_json(lo), _endpoint_from_json(hi)) for lo, hi in doc["bounds"]
+    axes, k, entries = tuple(doc["axes"]), doc["dimension"], doc["leaves"]
+    bounds = tuple((float(lo), float(hi)) for lo, hi in doc["bounds"])
+    paths = [tuple(entry["path"]) for entry in entries]
+    chains = [tuple((float(lo), float(hi)) for lo, hi in e["intervals"]) for e in entries]
+    counts = [entry["count"] for entry in entries]
+    depth = len(axes)
+    if doc["depth"] != depth or len(bounds) != k or not set(axes) <= set(range(k)):
+        raise ValueError("partition document axes do not match its depth and dimension")
+    if {(len(path), len(chain)) for path, chain in zip(paths, chains)} != {(depth, depth)}:
+        raise ValueError("partition document leaves need one interval per level")
+    breaks = []
+    for level in range(depth):
+        # region path -> child index -> hi end of that child's first leaf
+        regions: dict[tuple, dict[int, float]] = {}
+        for path, chain in zip(paths, chains):
+            regions.setdefault(path[:level], {}).setdefault(path[level], chain[level][1])
+        breaks.append(tuple(np.array(list(his.values())[:-1]) for his in regions.values()))
+    tree = PartitionTree(
+        k, axes, bounds, tuple(breaks), None if None in counts else tuple(counts)
     )
-    leaves = tuple(
-        Leaf(
-            index=i,
-            path=tuple(entry["path"]),
-            intervals=tuple(
-                (_endpoint_from_json(lo), _endpoint_from_json(hi))
-                for lo, hi in entry["intervals"]
-            ),
-            count=entry["count"],
-        )
-        for i, entry in enumerate(doc["leaves"])
-    )
-
-    def build(level, group, chain):
-        if level == depth:
-            assert len(group) == 1
-            return _Node(leaf=group[0])
-        by_child: dict[int, list[Leaf]] = {}
-        for leaf in group:
-            by_child.setdefault(leaf.path[level], []).append(leaf)
-        n_children = len(by_child)
-        breaks = np.array(
-            [by_child[j][0].intervals[level][1] for j in range(n_children - 1)]
-        )
-        children = [
-            build(level + 1, by_child[j], chain + (j,)) for j in range(n_children)
-        ]
-        return _Node(axis=axes[level], breaks=breaks, children=children)
-
-    root = build(0, list(leaves), ())
-    return PartitionTree(
-        k=doc["dimension"], depth=depth, axes=axes, bounds=bounds, leaves=leaves, root=root
-    )
+    rebuilt = [(leaf.path, leaf.intervals, leaf.count) for leaf in tree.leaves]
+    if rebuilt != list(zip(paths, chains, counts)) or any(
+        np.any(np.diff(b) < 0) for level in tree.breaks for b in level
+    ):
+        raise ValueError("partition document leaves do not tile their regions")
+    return tree

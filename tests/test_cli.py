@@ -110,8 +110,7 @@ class TestFit:
     def test_deterministic_output(self, sample_files, capsys):
         mother, model = sample_files
         argv = ["fit", "--mother", mother, "--model", model,
-                "--depth", "2", "--branching", "4", "--epsilon", "0.05",
-                "--seed", "1"]
+                "--depth", "2", "--branching", "4", "--epsilon", "0.05"]
         _, first, _ = run_cli(capsys, argv)
         _, second, _ = run_cli(capsys, argv)
         assert first == second
@@ -206,6 +205,19 @@ class TestValidate:
         payload = json.loads(out)
         assert payload["holds"] is True
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--theorem", "3", "--n", "0"],
+            ["--theorem", "4", "--replicates", "0"],
+            ["--theorem", "2", "--replicates", "-5"],
+        ],
+    )
+    def test_non_positive_sizes_exit_2(self, argv):
+        with pytest.raises(SystemExit) as exc:
+            run(["validate", *argv])
+        assert exc.value.code == 2
+
 
 class TestPartition:
     def test_dump_tree(self, sample_files, capsys):
@@ -242,24 +254,6 @@ class TestPairwise:
         assert len(payload["pairs"]) == 1
         assert payload["lhs_matrix"][0][1] == payload["pairs"][0]["lhs"]
         assert payload["lhs_matrix"][1][0] is None
-
-
-class TestThreadsFlag:
-    def test_accepted(self, capsys):
-        code, _, _ = run_cli(
-            capsys, ["--threads", "4", "threshold", "--epsilon", "0.05"]
-        )
-        assert code == 0
-
-    def test_rejects_zero(self):
-        with pytest.raises(SystemExit) as exc:
-            run(["--threads", "0", "threshold", "--epsilon", "0.05"])
-        assert exc.value.code == 2
-
-    def test_env_fallback(self, capsys, monkeypatch):
-        monkeypatch.setenv("HELLFIT_THREADS", "2")
-        code, _, _ = run_cli(capsys, ["threshold", "--epsilon", "0.05"])
-        assert code == 0
 
 
 class TestConsoleScript:

@@ -130,6 +130,16 @@ class TestMovingRisk:
         with pytest.raises(ValueError, match="known masses"):
             one_sample_risk_moving(config)
 
+    def test_zero_replicates_rejected(self):
+        config = ExperimentConfig(
+            distribution=UniformCube(1),
+            spec=PartitionSpec(depth=1, branching=4),
+            n=100,
+            replicates=0,
+        )
+        with pytest.raises(ValueError, match="replicates"):
+            one_sample_risk_moving(config)
+
     def test_deterministic_given_seed(self):
         config = ExperimentConfig(
             distribution=UniformCube(1),
@@ -232,6 +242,14 @@ class TestBiasBound:
         assert not report.adequate
         assert not report.holds
         assert math.isnan(report.slack)
+
+    def test_zero_replicates_rejected(self):
+        normal = MultivariateNormal([0.0], [[1.0]])
+        with pytest.raises(ValueError, match="replicates"):
+            bias_bound_check(
+                normal, normal, PartitionSpec(depth=1, branching=4),
+                n1=100, n2=1000, replicates=0,
+            )
 
 
 class TestReproduceTable:

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -226,3 +228,23 @@ class TestSerialization:
         tree = build_moving_partition(sample, PartitionSpec(depth=1, branching=2))
         text = tree_to_json(tree)
         assert '"-inf"' in text and '"inf"' in text
+
+    def assert_rejected(self, corrupt):
+        sample = Dataset(RngStream(9).generator().standard_normal((60, 2)))
+        tree = build_moving_partition(sample, PartitionSpec(depth=2, branching=3))
+        doc = json.loads(tree_to_json(tree))
+        corrupt(doc["leaves"])
+        with pytest.raises(ValueError, match="partition document"):
+            tree_from_json(json.dumps(doc))
+
+    def test_duplicated_leaf_rejected(self):
+        self.assert_rejected(lambda leaves: leaves.insert(1, leaves[0]))
+
+    def test_interval_disagreeing_with_sibling_rejected(self):
+        def corrupt(leaves):
+            leaves[1]["intervals"][1][0] += 1e-3  # leaf 0 still ends at the old value
+
+        self.assert_rejected(corrupt)
+
+    def test_leaf_missing_a_level_rejected(self):
+        self.assert_rejected(lambda leaves: leaves[2]["path"].pop())
