@@ -116,8 +116,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _emit(args, payload, rows=None):
-    """Write the payload in the requested format; csv needs tabular rows."""
-    if args.format == "csv" and rows is not None:
+    """Write the payload in the requested format; csv writes the tabular rows."""
+    if args.format == "csv":
         buf = io.StringIO()
         writer = csv.DictWriter(buf, fieldnames=list(rows[0].keys()))
         writer.writeheader()
@@ -128,6 +128,10 @@ def _emit(args, payload, rows=None):
         text = "\n".join(f"{key}: {value}" for key, value in payload.items()) + "\n"
     else:
         text = json.dumps(payload, indent=2) + "\n"
+    _write(args, text)
+
+
+def _write(args, text):
     if args.output:
         with open(args.output, "w") as fh:
             fh.write(text)
@@ -227,12 +231,7 @@ def _run_partition(args):
     model = load_dataset(args.model, bounds=args.bounds)
     spec = PartitionSpec(depth=args.depth, branching=args.branching)
     tree = build_moving_partition(model, spec)
-    text = tree_to_json(tree) + "\n"
-    if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write(args, tree_to_json(tree) + "\n")
 
 
 def _run_pairwise(args):
@@ -255,21 +254,28 @@ def _run_pairwise(args):
     _emit(args, payload)
 
 
+# each command's runner and the --format values it can write
 _RUNNERS = {
-    "fit": _run_fit,
-    "threshold": _run_threshold,
-    "simulate": _run_simulate,
-    "validate": _run_validate,
-    "partition": _run_partition,
-    "pairwise": _run_pairwise,
+    "fit": (_run_fit, ("json", "pretty")),
+    "threshold": (_run_threshold, ("json", "pretty")),
+    "simulate": (_run_simulate, ("json", "csv", "pretty")),
+    "validate": (_run_validate, ("json", "pretty")),
+    "partition": (_run_partition, ("json",)),
+    "pairwise": (_run_pairwise, ("json", "pretty")),
 }
 
 
 def run(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    runner, formats = _RUNNERS[args.command]
+    if args.format not in formats:
+        parser.error(
+            f"{args.command} does not support --format {args.format}; "
+            f"supported: {', '.join(formats)}"
+        )
     try:
-        _RUNNERS[args.command](args)
+        runner(args)
     except (OSError, ValueError, np.linalg.LinAlgError) as exc:
         print(f"hellfit: error: {exc}", file=sys.stderr)
         return 1

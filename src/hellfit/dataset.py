@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -74,8 +75,55 @@ def load_dataset(path, bounds=None, delimiter: str = ",") -> Dataset:
 
     A single non-numeric first line is treated as a header.  Row and column
     indices in error messages are 1-based.
+
+    The data rows are parsed by one vectorized ``np.loadtxt`` call over the
+    lines ``str.splitlines`` gives.  When that call fails, warns or yields a
+    non-finite value, the line-by-line parse alone decides the values or the
+    error, so results and messages are those of the line-by-line parse.
     """
-    lines = Path(path).read_text().splitlines()
+    text = Path(path).read_text()
+    lines = text.splitlines()
+    # numpy strips \x1f around a number and float() does not (\x1c-\x1e,
+    # which numpy strips too, already end a line here)
+    values = None if "\x1f" in text else _parse_vectorized(lines, delimiter)
+    if values is None:
+        values = _parse_by_line(path, lines, delimiter)
+    return Dataset(values, tuple(bounds) if bounds else ())
+
+
+def _is_header(line, delimiter):
+    def numeric(cell):
+        try:
+            float(cell)
+        except ValueError:
+            return False
+        return True
+
+    return not any(numeric(cell) for cell in line.split(delimiter))
+
+
+def _parse_vectorized(lines, delimiter):
+    """The data rows as a finite float matrix, or None to defer to the line parse."""
+    first = next((i for i, line in enumerate(lines) if line.strip() != ""), None)
+    if first is None:
+        return None
+    if _is_header(lines[first], delimiter):
+        first += 1
+    # Lines, not a file: numpy would not break lines where str.splitlines does
+    # (\x0b, \x0c, \x1c-\x1e, \x85, \u2028, \u2029).
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            values = np.loadtxt(
+                lines[first:], delimiter=delimiter, comments=None, ndmin=2, dtype=float
+            )
+    except (ValueError, TypeError, Warning):  # TypeError: a delimiter numpy refuses
+        return None
+    return values if np.isfinite(values).all() else None
+
+
+def _parse_by_line(path, lines, delimiter):
+    """Parse with one ``float()`` per cell; raises ParseError at the first bad cell."""
     rows = [(idx + 1, line) for idx, line in enumerate(lines) if line.strip() != ""]
     if not rows:
         raise ParseError(f"{path}: empty input")
@@ -93,17 +141,7 @@ def load_dataset(path, bounds=None, delimiter: str = ",") -> Dataset:
             out.append(value)
         return out
 
-    def is_header(line):
-        def numeric(cell):
-            try:
-                float(cell)
-            except ValueError:
-                return False
-            return True
-
-        return not any(numeric(cell) for cell in line.split(delimiter))
-
-    start = 1 if is_header(rows[0][1]) else 0
+    start = 1 if _is_header(rows[0][1], delimiter) else 0
     if start == len(rows):
         raise ParseError(f"{path}: empty input")
 
@@ -116,14 +154,14 @@ def load_dataset(path, bounds=None, delimiter: str = ",") -> Dataset:
         elif len(row) != width:
             raise ParseError(f"{path}: ragged row {lineno}")
         parsed.append(row)
-    return Dataset(np.array(parsed, dtype=float), tuple(bounds) if bounds else ())
+    return np.array(parsed, dtype=float)
 
 
 def save_dataset(dataset: Dataset, path) -> None:
     """Write values back as CSV, losslessly (shortest round-trip floats)."""
+    text = "\n".join([",".join(map(repr, row)) for row in dataset.values.tolist()])
     with open(path, "w") as fh:
-        for row in dataset.values:
-            fh.write(",".join(repr(float(v)) for v in row) + "\n")
+        fh.write(text + "\n")
 
 
 def ar_covariance(k: int, rho: float) -> np.ndarray:

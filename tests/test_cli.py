@@ -9,7 +9,9 @@ import numpy as np
 import pytest
 
 from hellfit.cli import run
+from hellfit.criterion import evaluate_fitness, ks_two_sample
 from hellfit.dataset import Dataset, RngStream, save_dataset
+from hellfit.partition import PartitionSpec
 
 
 @pytest.fixture(scope="module")
@@ -114,6 +116,76 @@ class TestFit:
         _, first, _ = run_cli(capsys, argv)
         _, second, _ = run_cli(capsys, argv)
         assert first == second
+
+
+class TestFitIngest:
+    def test_header_blank_lines_crlf_match_in_memory(self, capsys, tmp_path):
+        rng = RngStream(3).generator()
+        mother = Dataset(rng.standard_normal((500, 2)))
+        model = Dataset(rng.standard_normal((4000, 2)))
+
+        def write(ds, name, blank):
+            rows = [",".join(map(repr, row)) for row in ds.values.tolist()]
+            text = "\r\n".join(["x,y", "", *rows[:7], blank, *rows[7:]]) + "\r\n"
+            path = tmp_path / name
+            path.write_bytes(text.encode())
+            return str(path)
+
+        # an empty line keeps the vectorized parse; a whitespace-only one
+        # sends the file through the line-by-line parse
+        code, out, _ = run_cli(
+            capsys,
+            ["fit", "--mother", write(mother, "mother.csv", "  "),
+             "--model", write(model, "model.csv", ""),
+             "--depth", "2", "--branching", "4", "--epsilon", "0.05"],
+        )
+        assert code == 0
+        expected = evaluate_fitness(
+            mother, model, PartitionSpec(depth=2, branching=4), 0.05
+        ).to_dict()
+        expected["ks_baseline"] = [
+            dict(zip(("statistic", "p_value"),
+                     ks_two_sample(mother.values[:, i], model.values[:, i])))
+            for i in range(2)
+        ]
+        assert out == json.dumps(expected, indent=2) + "\n"
+
+    def test_header_only_file_exit_1(self, capsys, tmp_path, sample_files):
+        _, model = sample_files
+        header_only = tmp_path / "header.csv"
+        header_only.write_text("x,y\n\n")
+        code, out, err = run_cli(
+            capsys,
+            ["fit", "--mother", str(header_only), "--model", model,
+             "--depth", "1", "--branching", "4", "--epsilon", "0.05"],
+        )
+        assert code == 1 and out == ""
+        assert f"{header_only}: empty input" in err
+
+
+class TestUnsupportedFormat:
+    FIT = ["fit", "--mother", "m.csv", "--model", "g.csv",
+           "--depth", "1", "--branching", "4", "--epsilon", "0.05"]
+    PARTITION = ["partition", "--model", "g.csv", "--depth", "1", "--branching", "4"]
+
+    @pytest.mark.parametrize(
+        "fmt, argv, supported",
+        [
+            ("csv", FIT, "json, pretty"),
+            ("csv", ["threshold", "--epsilon", "0.05"], "json, pretty"),
+            ("csv", ["validate", "--theorem", "3"], "json, pretty"),
+            ("csv", ["pairwise", "--mother", "m.csv", "--model", "g.csv",
+                     "--epsilon", "0.05"], "json, pretty"),
+            ("csv", PARTITION, "json"),
+            ("pretty", PARTITION, "json"),
+        ],
+    )
+    def test_usage_error(self, capsys, fmt, argv, supported):
+        with pytest.raises(SystemExit) as exc:
+            run(["--format", fmt, *argv])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"{argv[0]} does not support --format {fmt}; supported: {supported}" in err
 
 
 class TestThreshold:
