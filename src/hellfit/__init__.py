@@ -30,6 +30,9 @@ from hellfit.criterion import (
     evaluate_fitness,
     implied_epsilon,
     ks_two_sample,
+    pairwise_marginal_scan,
+    pairwise_partitions,
+    score_fitness,
 )
 
 __all__ = [
@@ -59,6 +62,9 @@ __all__ = [
     "evaluate_fitness",
     "implied_epsilon",
     "ks_two_sample",
+    "pairwise_marginal_scan",
+    "pairwise_partitions",
+    "score_fitness",
 ]
 
 __version__ = "0.1.0"

@@ -27,6 +27,7 @@ from hellfit.divergence import DivergenceGenerator
 
 _ROOT_TOL = 1e-12
 _BISECT_ITERATIONS = 128
+_GRID_SIZE = 2048  # logit-spaced x values of the A-set scan
 
 
 class DeltaStarResult(NamedTuple):
@@ -77,12 +78,7 @@ def _boundary_curve(f: DivergenceGenerator, x, t):
     return x * first + (1 - x) * second
 
 
-def a_set_infimum(
-    f: DivergenceGenerator,
-    delta: float,
-    grid_size: int = 2048,
-    refine: bool = True,
-) -> float:
+def a_set_infimum(f: DivergenceGenerator, delta: float) -> float:
     """inf{ t | (x, t) in A(delta) }, by per-x bisection over an x grid.
 
     For each x the defining curve is monotone in t on (x/2, 1/2), decreasing
@@ -116,19 +112,18 @@ def a_set_infimum(
         best = int(np.argmin(t))
         return float(t[best]), float(xs[best])
 
-    u = np.linspace(-12.0, 12.0, grid_size)
+    u = np.linspace(-12.0, 12.0, _GRID_SIZE)
     xs = 1.0 / (1.0 + np.exp(-u))
     t_best, x_best = scan(xs)
     if t_best is None:
         return 0.5
-    if refine:
-        span = 24.0 / grid_size  # neighbor spacing in logit units
-        u_best = math.log(x_best / (1 - x_best))
-        u_fine = np.linspace(u_best - 2 * span, u_best + 2 * span, 257)
-        xs_fine = 1.0 / (1.0 + np.exp(-u_fine))
-        t_fine, _ = scan(xs_fine)
-        if t_fine is not None:
-            t_best = min(t_best, t_fine)
+    span = 24.0 / _GRID_SIZE  # neighbor spacing in logit units
+    u_best = math.log(x_best / (1 - x_best))
+    u_fine = np.linspace(u_best - 2 * span, u_best + 2 * span, 257)
+    xs_fine = 1.0 / (1.0 + np.exp(-u_fine))
+    t_fine, _ = scan(xs_fine)
+    if t_fine is not None:
+        t_best = min(t_best, t_fine)
     return t_best
 
 
@@ -167,9 +162,7 @@ def threshold_report(f: DivergenceGenerator, epsilon=None, delta=None) -> dict:
         raise ValueError("give exactly one of epsilon or delta")
     out = {"generator": f.label}
     if epsilon is not None:
-        if not 0 < epsilon < 0.5:
-            raise ValueError("epsilon must be in (0, 0.5)")
-        delta = 8.0 * epsilon**2
+        delta = delta_star_hellinger(epsilon)
         out["epsilon"] = epsilon
         out["delta_star"] = delta
     else:

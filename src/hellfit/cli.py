@@ -16,7 +16,12 @@ import sys
 import numpy as np
 
 from hellfit import bayes_threshold, mc_validate
-from hellfit.criterion import evaluate_fitness, ks_two_sample
+from hellfit.criterion import (
+    evaluate_fitness,
+    ks_two_sample,
+    pairwise_marginal_scan,
+    pairwise_partitions,
+)
 from hellfit.dataset import load_dataset
 from hellfit.divergence import generator_by_name
 from hellfit.partition import PartitionSpec, build_moving_partition, tree_to_json
@@ -237,12 +242,12 @@ def _run_partition(args):
 def _run_pairwise(args):
     mother = load_dataset(args.mother)
     model = load_dataset(args.model)
-    matrix, reports = mc_validate.pairwise_marginal_scan(
-        mother, model, args.branching, args.epsilon
+    matrix, reports = pairwise_marginal_scan(
+        mother, pairwise_partitions(model, args.branching), args.epsilon
     )
     payload = {
         "epsilon": args.epsilon,
-        "threshold": 8.0 * args.epsilon**2,
+        "threshold": bayes_threshold.delta_star_hellinger(args.epsilon),
         "lhs_matrix": [
             [None if np.isnan(v) else v for v in row] for row in matrix
         ],

@@ -2,8 +2,11 @@
 discretized samples, compared against the 8 eps^2 threshold.
 
 The partition is always built from the MODEL sample; the mother sample is
-only counted into its bins.  The conclusion is one-sided: the verdict is
-"close" when the inequality holds and "not-shown-close" otherwise.
+only counted into its bins, so one built partition scores any number of
+mother samples (``score_fitness``).  The pairwise marginal scan is one
+depth-2 partition per coordinate pair, scored the same way.  The conclusion
+is one-sided: the verdict is "close" when the inequality holds and
+"not-shown-close" otherwise.
 """
 
 from __future__ import annotations
@@ -15,10 +18,12 @@ import math
 import numpy as np
 from scipy.special import kolmogorov
 
+from hellfit.bayes_threshold import delta_star_hellinger
 from hellfit.dataset import Dataset
 from hellfit.divergence import hellinger
 from hellfit.partition import (
     PartitionSpec,
+    PartitionTree,
     build_moving_partition,
     count_into_bins,
     free_param_count,
@@ -66,26 +71,34 @@ def implied_epsilon(lhs: float) -> float:
 def evaluate_fitness(
     mother: Dataset, model: Dataset, spec: PartitionSpec, epsilon: float
 ) -> FitnessReport:
-    """Full criterion pipeline on two samples."""
-    if not 0 < epsilon < 0.5:
-        raise ValueError("epsilon must be in (0, 0.5)")
+    """Full criterion pipeline on two samples: build from the model, then score."""
+    delta_star_hellinger(epsilon)  # rejects epsilon before the build
     if mother.k != model.k:
         raise ValueError(f"dimension mismatch: mother k={mother.k}, model k={model.k}")
-    tree = build_moving_partition(model, spec)
+    return score_fitness(build_moving_partition(model, spec), mother, epsilon)
+
+
+def score_fitness(tree: PartitionTree, mother: Dataset, epsilon: float) -> FitnessReport:
+    """The criterion for a mother sample on a partition built from a model sample.
+
+    The partition depends only on the model sample, so one built partition
+    scores any number of mother samples; n2 is its building-sample size.
+    """
+    threshold = delta_star_hellinger(epsilon)
     counts = count_into_bins(tree, mother)
     m1_hat = counts / mother.n
     m2_hat = model_pmf(tree)
     d_hat = hellinger(m1_hat, m2_hat)
     p_prime = free_param_count(tree)
-    bias_n1, bias_n2 = bias_correction(p_prime, mother.n, model.n)
+    n2 = sum(tree.counts)
+    bias_n1, bias_n2 = bias_correction(p_prime, mother.n, n2)
     lhs = d_hat + bias_n1 + bias_n2
-    threshold = 8.0 * epsilon**2
     eps_implied = implied_epsilon(lhs)
     return FitnessReport(
         hellinger_hat=d_hat,
         p_prime=p_prime,
         n1=mother.n,
-        n2=model.n,
+        n2=n2,
         bias_n1=bias_n1,
         bias_n2=bias_n2,
         lhs=lhs,
@@ -96,6 +109,33 @@ def evaluate_fitness(
         implied_bayes_error=0.5 - eps_implied,
         zero_bins=int(np.count_nonzero(counts == 0)),
     )
+
+
+def pairwise_partitions(model: Dataset, branching: int) -> dict:
+    """One depth-2 partition per coordinate pair (i, j), i < j, splitting i then j."""
+    if model.k < 2:
+        raise ValueError("pairwise scan needs k >= 2")
+    return {
+        (i, j): build_moving_partition(
+            model, PartitionSpec(depth=2, branching=branching, axis_order=(i, j))
+        )
+        for i in range(model.k)
+        for j in range(i + 1, model.k)
+    }
+
+
+def pairwise_marginal_scan(mother: Dataset, partitions: dict, epsilon: float):
+    """The criterion on every pair partition of ``pairwise_partitions``.
+
+    Returns (matrix, reports): an upper-triangular matrix of left-hand-side
+    values (nan elsewhere) and the per-pair FitnessReport objects.
+    """
+    matrix = np.full((mother.k, mother.k), np.nan)
+    reports: dict[tuple[int, int], FitnessReport] = {}
+    for (i, j), tree in partitions.items():
+        reports[(i, j)] = report = score_fitness(tree, mother, epsilon)
+        matrix[i, j] = report.lhs
+    return matrix, reports
 
 
 def ks_two_sample(x, y) -> tuple[float, float]:

@@ -64,11 +64,6 @@ class Dataset:
     def k(self) -> int:
         return self.values.shape[1]
 
-    def project(self, axes) -> "Dataset":
-        """Restrict to the given axes (keeping their bounds)."""
-        axes = list(axes)
-        return Dataset(self.values[:, axes], tuple(self.bounds[i] for i in axes))
-
 
 def load_dataset(path, bounds=None, delimiter: str = ",") -> Dataset:
     """Parse a CSV file of reals into a Dataset.
@@ -109,13 +104,15 @@ def _parse_vectorized(lines, delimiter):
         return None
     if _is_header(lines[first], delimiter):
         first += 1
+    # the line parse skips blank and whitespace-only lines; numpy would fail on them
+    rows = [line for line in lines[first:] if line.strip() != ""]
     # Lines, not a file: numpy would not break lines where str.splitlines does
     # (\x0b, \x0c, \x1c-\x1e, \x85, \u2028, \u2029).
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             values = np.loadtxt(
-                lines[first:], delimiter=delimiter, comments=None, ndmin=2, dtype=float
+                rows, delimiter=delimiter, comments=None, ndmin=2, dtype=float
             )
     except (ValueError, TypeError, Warning):  # TypeError: a delimiter numpy refuses
         return None

@@ -29,7 +29,7 @@ from hellfit.partition import (
     count_into_bins,
     model_pmf,
 )
-from hellfit.criterion import FitnessReport, evaluate_fitness
+from hellfit.criterion import pairwise_marginal_scan, pairwise_partitions, score_fitness
 
 
 class UniformCube:
@@ -67,10 +67,6 @@ class MultivariateNormal:
     def shifted(cls, k: int, alpha: float, beta: float, rho: float = 0.95):
         """The simulation family N(alpha * 1, I + beta * V), V_ij = rho^|i-j|."""
         return cls(np.full(k, alpha), np.eye(k) + beta * ar_covariance(k, rho))
-
-    def project(self, axes) -> "MultivariateNormal":
-        axes = list(axes)
-        return MultivariateNormal(self.mean[axes], self.cov[np.ix_(axes, axes)])
 
     def sample(self, n: int, rng: RngStream) -> Dataset:
         return sample_mvn(n, self.mean, self.cov, rng)
@@ -269,7 +265,7 @@ def reproduce_table(
 ):
     """Rows of one of the six simulation tables (single run per cell).
 
-    Tables 1-4: k=3 depth-3 partitions at several mother sample sizes.
+    Tables 1-4: one k=3 depth-3 partition scored at several mother sample sizes.
     Tables 5-6: the pairwise two-dimensional scan at fixed n1.
     """
     if table_id in _TABLE_SHIFT:
@@ -280,11 +276,11 @@ def reproduce_table(
         model = MultivariateNormal(np.zeros(k), np.eye(k))
         if n1_values is None:
             n1_values = [10**5, 10**4]
-        model_sample = model.sample(n2, RngStream(seed, 0))
+        tree = build_moving_partition(model.sample(n2, RngStream(seed, 0)), spec)
         rows = []
         for i, n1 in enumerate(n1_values):
             mother_sample = mother.sample(n1, RngStream(seed, 1 + i))
-            report = evaluate_fitness(mother_sample, model_sample, spec, epsilon)
+            report = score_fitness(tree, mother_sample, epsilon)
             rows.append(
                 {
                     "table": table_id,
@@ -304,45 +300,11 @@ def reproduce_table(
         mother = MultivariateNormal.shifted(k, 0.1, 0.1)
         model = MultivariateNormal(np.zeros(k), np.eye(k))
         mother_sample = mother.sample(n1, RngStream(seed, 0))
-        model_sample = model.sample(n2, RngStream(seed, 1))
-        matrix, _ = pairwise_marginal_scan(
-            mother_sample, model_sample, branching, epsilon
-        )
-        rows = []
-        for i in range(k):
-            for j in range(i + 1, k):
-                rows.append(
-                    {
-                        "table": table_id,
-                        "pair": [i + 1, j + 1],
-                        "n1": n1,
-                        "n2": n2,
-                        "lhs": matrix[i, j],
-                    }
-                )
-        return rows
+        partitions = pairwise_partitions(model.sample(n2, RngStream(seed, 1)), branching)
+        _, reports = pairwise_marginal_scan(mother_sample, partitions, epsilon)
+        return [
+            {"table": table_id, "pair": [i + 1, j + 1], "n1": n1, "n2": n2, "lhs": r.lhs}
+            for (i, j), r in reports.items()
+        ]
     raise ValueError("table_id must be in 1..6")
 
-
-def pairwise_marginal_scan(
-    mother: Dataset, model: Dataset, branching: int, epsilon: float
-):
-    """Depth-2 criterion on every pair of coordinates.
-
-    Returns (matrix, reports): an upper-triangular matrix of left-hand-side
-    values (nan elsewhere) and the per-pair FitnessReport objects.
-    """
-    if mother.k < 2:
-        raise ValueError("pairwise scan needs k >= 2")
-    spec = PartitionSpec(depth=2, branching=branching)
-    k = mother.k
-    matrix = np.full((k, k), np.nan)
-    reports: dict[tuple[int, int], FitnessReport] = {}
-    for i in range(k):
-        for j in range(i + 1, k):
-            report = evaluate_fitness(
-                mother.project([i, j]), model.project([i, j]), spec, epsilon
-            )
-            matrix[i, j] = report.lhs
-            reports[(i, j)] = report
-    return matrix, reports

@@ -18,7 +18,13 @@ from hellfit.bayes_threshold import (
     delta_star_hellinger,
     hellinger_alpha_approx,
 )
-from hellfit.criterion import bias_correction, evaluate_fitness
+from hellfit.criterion import (
+    bias_correction,
+    evaluate_fitness,
+    pairwise_marginal_scan,
+    pairwise_partitions,
+    score_fitness,
+)
 from hellfit.dataset import Dataset, RngStream
 from hellfit.divergence import (
     alpha_generator,
@@ -35,7 +41,6 @@ from hellfit.mc_validate import (
     fixed_risk_prediction,
     one_sample_risk_fixed,
     one_sample_risk_moving,
-    pairwise_marginal_scan,
 )
 from hellfit.partition import (
     PartitionSpec,
@@ -71,18 +76,18 @@ def moving_risk(n, replicates):
 
 
 @pytest.fixture(scope="module")
-def model_sample_3d():
-    """One shared n2 = 1e7 standard-normal model sample for Tables 1/3/4."""
-    return MultivariateNormal(np.zeros(3), np.eye(3)).sample(N2, RngStream(0, 0))
+def model_tree_3d():
+    """One shared partition of an n2 = 1e7 standard-normal model sample for
+    Tables 1/3/4; the partition depends only on the model sample."""
+    model_sample = MultivariateNormal(np.zeros(3), np.eye(3)).sample(N2, RngStream(0, 0))
+    return build_moving_partition(model_sample, PartitionSpec(depth=3, branching=4))
 
 
-def table_report(model_sample, alpha, beta, n1, epsilon=0.05, stream=1):
+def table_report(model_tree, alpha, beta, n1, epsilon=0.05, stream=1):
     mother = MultivariateNormal.shifted(3, alpha, beta).sample(
         n1, RngStream(0, stream)
     )
-    return evaluate_fitness(
-        mother, model_sample, PartitionSpec(depth=3, branching=4), epsilon
-    )
+    return score_fitness(model_tree, mother, epsilon)
 
 
 def test_criterion_1_threshold_constants(capsys):
@@ -160,21 +165,21 @@ def test_criterion_4_fixed_region_risk(capsys):
     )
 
 
-def test_criterion_5_table_1(capsys, model_sample_3d):
-    r5 = table_report(model_sample_3d, 0.0, 0.0, 10**5, stream=1)
+def test_criterion_5_table_1(capsys, model_tree_3d):
+    r5 = table_report(model_tree_3d, 0.0, 0.0, 10**5, stream=1)
     assert r5.p_prime == 63
     assert 2e-4 <= r5.hellinger_hat <= 5e-4
     # arithmetic check of the bias sum at n1 = 1e5: 63/(2e5) + sqrt(504/1e7)
     assert r5.lhs == pytest.approx(
         r5.hellinger_hat + 3.15e-4 + SQRT_TERM, abs=1e-5
     )
-    r4 = table_report(model_sample_3d, 0.0, 0.0, 10**4, stream=2)
+    r4 = table_report(model_tree_3d, 0.0, 0.0, 10**4, stream=2)
     # published n1=1e4 cell corrected for its decimal-exponent typo
     assert r4.lhs == pytest.approx(
         r4.hellinger_hat + 3.15e-3 + SQRT_TERM, abs=1e-5
     )
     assert r4.lhs == pytest.approx(1.36e-2, rel=0.10)
-    r7 = table_report(model_sample_3d, 0.0, 0.0, N2, stream=3)
+    r7 = table_report(model_tree_3d, 0.0, 0.0, N2, stream=3)
     assert r7.lhs == pytest.approx(7.11e-3, abs=5e-4)
     announce(
         capsys,
@@ -184,18 +189,13 @@ def test_criterion_5_table_1(capsys, model_sample_3d):
     )
 
 
-def test_criterion_6_tables_3_and_4(capsys, model_sample_3d):
-    r3 = table_report(model_sample_3d, 0.1, 0.1, 10**5, stream=4)
+def test_criterion_6_tables_3_and_4(capsys, model_tree_3d):
+    r3 = table_report(model_tree_3d, 0.1, 0.1, 10**5, stream=4)
     assert r3.lhs == pytest.approx(2.9e-2, rel=0.10)
     assert r3.verdict == "not-shown-close"  # epsilon = 0.05
-    loose = evaluate_fitness(
-        MultivariateNormal.shifted(3, 0.1, 0.1).sample(10**5, RngStream(0, 4)),
-        model_sample_3d,
-        PartitionSpec(depth=3, branching=4),
-        0.1,
-    )
+    loose = table_report(model_tree_3d, 0.1, 0.1, 10**5, epsilon=0.1, stream=4)
     assert loose.verdict == "close"
-    r4 = table_report(model_sample_3d, 1.0, 1.0, 10**5, stream=5)
+    r4 = table_report(model_tree_3d, 1.0, 1.0, 10**5, stream=5)
     assert r4.lhs == pytest.approx(0.70, rel=0.05)
     assert r4.verdict == "not-shown-close"
     announce(
@@ -210,12 +210,13 @@ def test_criterion_7_pairwise_scan(capsys):
     k = 5  # reduced scale; pairwise cells do not depend on k
     mother_dist = MultivariateNormal.shifted(k, 0.1, 0.1)
     model = MultivariateNormal(np.zeros(k), np.eye(k)).sample(N2, RngStream(1, 0))
+    partitions = pairwise_partitions(model, 4)  # shared by both mother sizes
     mother_large = mother_dist.sample(10**4, RngStream(1, 1))
-    matrix_large, _ = pairwise_marginal_scan(mother_large, model, 4, 0.05)
+    matrix_large, _ = pairwise_marginal_scan(mother_large, partitions, 0.05)
     cells_large = matrix_large[np.triu_indices(k, 1)]
     assert np.all(cells_large < 0.02)
     mother_small = mother_dist.sample(10**3, RngStream(1, 2))
-    matrix_small, _ = pairwise_marginal_scan(mother_small, model, 4, 0.05)
+    matrix_small, _ = pairwise_marginal_scan(mother_small, partitions, 0.05)
     cells_small = matrix_small[np.triu_indices(k, 1)]
     assert np.any(cells_small >= 0.02)
     announce(

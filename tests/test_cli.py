@@ -1,3 +1,4 @@
+import hashlib
 import importlib.resources
 import json
 import shutil
@@ -326,6 +327,55 @@ class TestPairwise:
         assert len(payload["pairs"]) == 1
         assert payload["lhs_matrix"][0][1] == payload["pairs"][0]["lhs"]
         assert payload["lhs_matrix"][1][0] is None
+
+    @pytest.mark.parametrize("swap", [False, True])
+    def test_dimension_mismatch_is_runtime_error(
+        self, sample_files, golden_files, capsys, swap
+    ):
+        files = [sample_files[0], golden_files["model"]]  # k = 2 and k = 3
+        mother, model = files[::-1] if swap else files
+        code, out, err = run_cli(
+            capsys,
+            ["pairwise", "--mother", mother, "--model", model, "--epsilon", "0.05"],
+        )
+        assert code == 1 and out == ""
+        assert "dimension" in err
+
+
+# SHA-256 of small outputs, so that refactors keep results byte-identical
+GOLDEN_OUTPUTS = {
+    "pairwise": (
+        ["pairwise", "--mother", "{mother}", "--model", "{model}", "--epsilon", "0.05"],
+        "d4ecdd446d4115b255d9be53c0c43f24f4720cffdbab75da0f71fe607e482639",
+    ),
+    "simulate-table-1": (
+        ["simulate", "--table", "1", "--n1", "1000", "3000", "--n2", "20000"],
+        "8ed23077c343476c0a9aece93ea7f30c5ab76c595f12261d89d0c6fe61cd27fe",
+    ),
+    "simulate-table-5": (
+        ["simulate", "--table", "5", "--k", "4", "--n2", "20000"],
+        "f119933e299016dc4f9c3d28a35db5b11bf5eac98ae755b13a4def34f02088db",
+    ),
+}
+
+
+@pytest.fixture(scope="module")
+def golden_files(tmp_path_factory):
+    base = tmp_path_factory.mktemp("cli-golden")
+    rng = RngStream(43).generator()
+    mother = base / "mother.csv"
+    model = base / "model.csv"
+    save_dataset(Dataset(rng.standard_normal((1000, 3)) + 0.1), mother)
+    save_dataset(Dataset(rng.standard_normal((8000, 3))), model)
+    return {"mother": str(mother), "model": str(model)}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_OUTPUTS))
+def test_golden_output_digest(name, golden_files, capsys):
+    argv, digest = GOLDEN_OUTPUTS[name]
+    code, out, _ = run_cli(capsys, [arg.format(**golden_files) for arg in argv])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 class TestConsoleScript:

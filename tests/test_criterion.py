@@ -11,9 +11,10 @@ from hellfit.criterion import (
     evaluate_fitness,
     implied_epsilon,
     ks_two_sample,
+    score_fitness,
 )
 from hellfit.dataset import Dataset, RngStream, ar_covariance, sample_mvn
-from hellfit.partition import PartitionSpec
+from hellfit.partition import PartitionSpec, build_fixed_partition, build_moving_partition
 
 
 class TestBiasCorrection:
@@ -149,6 +150,44 @@ class TestEvaluateFitness:
         payload = json.loads(report.to_json())
         assert payload == report.to_dict()
         assert payload["verdict"] == "close"
+
+
+class TestScoreFitness:
+    def test_one_tree_many_mothers_matches_evaluate(self):
+        # differential: scoring one built partition equals a fresh
+        # build-and-score per mother
+        rng = RngStream(21).generator()
+        model = Dataset(rng.standard_normal((12000, 3)))
+        spec = PartitionSpec(depth=2, branching=(3, 5), axis_order=(2, 0))
+        tree = build_moving_partition(model, spec)
+        for n1, shift, epsilon in [(500, 0.0, 0.05), (3000, 0.2, 0.1), (12000, 1.0, 0.3)]:
+            mother = Dataset(rng.standard_normal((n1, 3)) + shift)
+            assert score_fitness(tree, mother, epsilon) == evaluate_fitness(
+                mother, model, spec, epsilon
+            )
+
+    def test_n2_is_building_sample_size(self):
+        rng = RngStream(22).generator()
+        tree = build_moving_partition(
+            Dataset(rng.standard_normal((4321, 2))), PartitionSpec(depth=2, branching=4)
+        )
+        report = score_fitness(tree, Dataset(rng.standard_normal((100, 2))), 0.05)
+        assert report.n2 == 4321
+
+    def test_fixed_grid_rejected(self):
+        tree = build_fixed_partition([[0.0], [0.0]])
+        mother = Dataset(RngStream(23).generator().standard_normal((100, 2)))
+        with pytest.raises(ValueError, match="moving partition"):
+            score_fitness(tree, mother, 0.05)
+
+    @pytest.mark.parametrize("epsilon", [0.0, 0.5, -0.1])
+    def test_epsilon_domain(self, epsilon):
+        rng = RngStream(24).generator()
+        tree = build_moving_partition(
+            Dataset(rng.standard_normal((100, 1))), PartitionSpec(depth=1, branching=2)
+        )
+        with pytest.raises(ValueError, match=r"epsilon must be in \(0, 0.5\)"):
+            score_fitness(tree, Dataset(rng.standard_normal((10, 1))), epsilon)
 
 
 class TestWorkflowGolden:

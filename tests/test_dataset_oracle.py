@@ -216,7 +216,16 @@ def test_splitlines_breaks_are_line_breaks(csv_path, text, cell):
 
 @pytest.mark.parametrize(
     "text",
-    ["a,b\r\n1,2\r\n\r\n3,4\r\n", "1,2\r3,4", "\n\n0.1,-0.0\n1e-300,5e-324\n", "7\n"],
+    [
+        "a,b\r\n1,2\r\n\r\n3,4\r\n",
+        "1,2\r3,4",
+        "\n\n0.1,-0.0\n1e-300,5e-324\n",
+        "7\n",
+        # whitespace-only lines
+        "1,2\n  \n3,4\n",
+        "  \na,b\n\t\n1,2\n",
+        "1,2\n\u3000\n3,4\n \t \n",
+    ],
 )
 def test_well_formed_input_skips_the_line_parse(csv_path, text, monkeypatch):
     def fail(*args):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.stats import norm
 
+from hellfit.criterion import evaluate_fitness, pairwise_marginal_scan, pairwise_partitions
 from hellfit.dataset import Dataset, RngStream
 from hellfit.divergence import generator_by_name
 from hellfit.mc_validate import (
@@ -15,7 +16,6 @@ from hellfit.mc_validate import (
     fixed_risk_prediction,
     one_sample_risk_fixed,
     one_sample_risk_moving,
-    pairwise_marginal_scan,
     reproduce_table,
     true_leaf_masses,
 )
@@ -61,12 +61,6 @@ class TestDistributions:
         assert dist.cov[0, 0] == pytest.approx(1.2)
         assert dist.cov[0, 1] == pytest.approx(0.2 * 0.95)
         assert dist.cov[0, 2] == pytest.approx(0.2 * 0.95**2)
-
-    def test_projection(self):
-        dist = MultivariateNormal.shifted(4, 0.1, 0.3)
-        sub = dist.project([1, 3])
-        assert sub.k == 2
-        assert sub.cov[0, 1] == pytest.approx(dist.cov[1, 3])
 
     def test_true_leaf_masses_sum_to_one(self):
         dist = MultivariateNormal([0.0], [[1.0]])
@@ -279,7 +273,9 @@ class TestPairwiseScan:
         model = MultivariateNormal(np.zeros(3), np.eye(3)).sample(
             50000, RngStream(11, 1)
         )
-        matrix, reports = pairwise_marginal_scan(mother, model, 4, 0.05)
+        matrix, reports = pairwise_marginal_scan(
+            mother, pairwise_partitions(model, 4), 0.05
+        )
         assert matrix.shape == (3, 3)
         assert np.isnan(matrix[1, 0]) and np.isnan(matrix[0, 0])
         for (i, j), report in reports.items():
@@ -287,13 +283,11 @@ class TestPairwiseScan:
             assert report.p_prime == 15
 
     def test_k2_matches_full_evaluate(self):
-        from hellfit.criterion import evaluate_fitness
-
         mother = MultivariateNormal.shifted(2, 0.1, 0.1).sample(2000, RngStream(12, 0))
         model = MultivariateNormal(np.zeros(2), np.eye(2)).sample(
             40000, RngStream(12, 1)
         )
-        matrix, _ = pairwise_marginal_scan(mother, model, 4, 0.05)
+        matrix, _ = pairwise_marginal_scan(mother, pairwise_partitions(model, 4), 0.05)
         direct = evaluate_fitness(
             mother, model, PartitionSpec(depth=2, branching=4), 0.05
         )
@@ -302,4 +296,35 @@ class TestPairwiseScan:
     def test_k1_rejected(self):
         sample = Dataset(RngStream(13).generator().standard_normal((100, 1)))
         with pytest.raises(ValueError, match="k >= 2"):
-            pairwise_marginal_scan(sample, sample, 4, 0.05)
+            pairwise_partitions(sample, 4)
+
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    @pytest.mark.parametrize("bounded", [False, True])
+    def test_pairs_match_projected_evaluate(self, k, bounded):
+        # differential: each pair partition splits the full sample on axes
+        # (i, j); the reference projects both samples onto those two columns
+        rng = RngStream(14, k).generator()
+        if bounded:
+            bounds = tuple((-1.0, 1.0 + i) for i in range(k))
+            mother_values = 1.0 - rng.random((1500, k))  # in (0, 1]
+            model_values = 1.0 - rng.random((6000, k)) ** 2
+        else:
+            bounds = ()
+            mother_values = rng.standard_normal((1500, k)) + 0.1
+            model_values = rng.standard_normal((6000, k))
+        mother = Dataset(mother_values, bounds)
+        model = Dataset(model_values, bounds)
+        matrix, reports = pairwise_marginal_scan(
+            mother, pairwise_partitions(model, 3), 0.05
+        )
+        assert list(reports) == [(i, j) for i in range(k) for j in range(i + 1, k)]
+        for (i, j), report in reports.items():
+
+            def project(ds):
+                return Dataset(ds.values[:, [i, j]], tuple(ds.bounds[a] for a in (i, j)))
+
+            expected = evaluate_fitness(
+                project(mother), project(model), PartitionSpec(depth=2, branching=3), 0.05
+            )
+            assert report == expected
+            assert matrix[i, j] == expected.lhs
