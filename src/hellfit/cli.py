@@ -11,6 +11,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 
 import numpy as np
@@ -34,11 +35,22 @@ def _epsilon_arg(text):
     return value
 
 
+def _delta_arg(text):
+    value = float(text)
+    if not 0 < value < math.inf:
+        raise argparse.ArgumentTypeError("delta must be a finite value > 0")
+    return value
+
+
+def _fan_arg(text):
+    value = int(text)
+    if value < 2:
+        raise argparse.ArgumentTypeError("branching values must be >= 2")
+    return value
+
+
 def _branching_arg(text):
-    parts = [int(p) for p in text.split(",")]
-    for p in parts:
-        if p < 2:
-            raise argparse.ArgumentTypeError("branching values must be >= 2")
+    parts = [_fan_arg(p) for p in text.split(",")]
     return parts[0] if len(parts) == 1 else parts
 
 
@@ -71,7 +83,7 @@ def build_parser() -> argparse.ArgumentParser:
     fit = sub.add_parser("fit", help="run the model fitness criterion on two files")
     fit.add_argument("--mother", required=True)
     fit.add_argument("--model", required=True)
-    fit.add_argument("--depth", type=int, required=True)
+    fit.add_argument("--depth", type=_positive_int_arg, required=True)
     fit.add_argument("--branching", type=_branching_arg, required=True)
     fit.add_argument("--epsilon", type=_epsilon_arg, required=True)
     fit.add_argument("--bounds", type=_bounds_arg, help="per-axis lo:hi pairs, comma separated")
@@ -80,22 +92,22 @@ def build_parser() -> argparse.ArgumentParser:
     thr.add_argument("--generator", default="hellinger")
     group = thr.add_mutually_exclusive_group(required=True)
     group.add_argument("--epsilon", type=_epsilon_arg)
-    group.add_argument("--delta", type=float)
+    group.add_argument("--delta", type=_delta_arg)
 
     sim = sub.add_parser("simulate", help="reproduce a simulation table")
     sim.add_argument("--table", type=int, choices=range(1, 7), required=True)
-    sim.add_argument("--n1", type=int, nargs="+")
-    sim.add_argument("--n2", type=int, default=10**7)
-    sim.add_argument("--k", type=int)
-    sim.add_argument("--branching", type=int, default=4)
+    sim.add_argument("--n1", type=_positive_int_arg, nargs="+")
+    sim.add_argument("--n2", type=_positive_int_arg, default=10**7)
+    sim.add_argument("--k", type=_positive_int_arg)
+    sim.add_argument("--branching", type=_fan_arg, default=4)
     sim.add_argument("--epsilon", type=_epsilon_arg, default=0.05)
     sim.add_argument("--seed", type=int, default=0)
 
     val = sub.add_parser("validate", help="Monte Carlo check of a risk theorem")
     val.add_argument("--theorem", type=int, choices=[2, 3, 4], required=True)
     val.add_argument("--n", type=_positive_int_arg)
-    val.add_argument("--n1", type=int, default=10**3)
-    val.add_argument("--n2", type=int, default=10**5)
+    val.add_argument("--n1", type=_positive_int_arg, default=10**3)
+    val.add_argument("--n2", type=_positive_int_arg, default=10**5)
     val.add_argument("--replicates", type=_positive_int_arg)
     val.add_argument("--seed", type=int, default=0)
     val.add_argument(
@@ -107,21 +119,37 @@ def build_parser() -> argparse.ArgumentParser:
 
     part = sub.add_parser("partition", help="build and dump a moving partition")
     part.add_argument("--model", required=True)
-    part.add_argument("--depth", type=int, required=True)
+    part.add_argument("--depth", type=_positive_int_arg, required=True)
     part.add_argument("--branching", type=_branching_arg, required=True)
     part.add_argument("--bounds", type=_bounds_arg)
 
     pair = sub.add_parser("pairwise", help="depth-2 criterion on every coordinate pair")
     pair.add_argument("--mother", required=True)
     pair.add_argument("--model", required=True)
-    pair.add_argument("--branching", type=int, default=4)
+    pair.add_argument("--branching", type=_fan_arg, default=4)
     pair.add_argument("--epsilon", type=_epsilon_arg, required=True)
 
     return parser
 
 
+def _nulls(value):
+    """The value with every non-finite float in it, at any depth, as None."""
+    if isinstance(value, dict):
+        return {key: _nulls(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return type(value)(_nulls(item) for item in value)
+    if isinstance(value, float) and not math.isfinite(value):
+        return None
+    return value
+
+
 def _emit(args, payload, rows=None):
-    """Write the payload in the requested format; csv writes the tabular rows."""
+    """Write the payload in the requested format; csv writes the tabular rows.
+
+    Non-finite floats in the payload are written as null (None), so the json
+    output is strict JSON.
+    """
+    payload = _nulls(payload)
     if args.format == "csv":
         buf = io.StringIO()
         writer = csv.DictWriter(buf, fieldnames=list(rows[0].keys()))
@@ -132,7 +160,7 @@ def _emit(args, payload, rows=None):
     elif args.format == "pretty":
         text = "\n".join(f"{key}: {value}" for key, value in payload.items()) + "\n"
     else:
-        text = json.dumps(payload, indent=2) + "\n"
+        text = json.dumps(payload, indent=2, allow_nan=False) + "\n"
     _write(args, text)
 
 
@@ -248,9 +276,7 @@ def _run_pairwise(args):
     payload = {
         "epsilon": args.epsilon,
         "threshold": bayes_threshold.delta_star_hellinger(args.epsilon),
-        "lhs_matrix": [
-            [None if np.isnan(v) else v for v in row] for row in matrix
-        ],
+        "lhs_matrix": [list(row) for row in matrix],
         "pairs": [
             {"pair": [i + 1, j + 1], **report.to_dict()}
             for (i, j), report in sorted(reports.items())

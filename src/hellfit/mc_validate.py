@@ -126,6 +126,13 @@ class RiskEstimate:
     ratio: float
 
 
+def _standard_error(values) -> float:
+    """Standard error of the mean; nan, without a warning, below two values."""
+    if len(values) < 2:
+        return float("nan")
+    return float(np.std(values, ddof=1) / math.sqrt(len(values)))
+
+
 def one_sample_risk_moving(config: ExperimentConfig) -> RiskEstimate:
     """Mean divergence between true and equal-mass leaf masses over replicates
     of sample-built partitions; the asymptotic prediction is p'/(2n)."""
@@ -144,7 +151,7 @@ def one_sample_risk_moving(config: ExperimentConfig) -> RiskEstimate:
         values[rep] = f_divergence(config.generator, truth, equal)
         p_prime = free_param_count(tree)
     mean = float(np.mean(values))
-    se = float(np.std(values, ddof=1) / math.sqrt(config.replicates))
+    se = _standard_error(values)
     prediction = p_prime / (2.0 * config.n)
     return RiskEstimate(mean, se, config.replicates, prediction, mean / prediction)
 
@@ -179,7 +186,7 @@ def one_sample_risk_fixed(config: ExperimentConfig, true_m) -> RiskEstimate:
     terms = np.where(m_hat == 0, true_m * f.at_zero, terms)
     values = terms.sum(axis=1)
     mean = float(np.mean(values))
-    se = float(np.std(values, ddof=1) / math.sqrt(config.replicates))
+    se = _standard_error(values)
     prediction = fixed_risk_prediction(f, true_m, config.n)
     return RiskEstimate(mean, se, config.replicates, prediction, mean / prediction)
 
@@ -228,12 +235,8 @@ def bias_bound_check(
         p_prime = free_param_count(tree)
     correction = math.sqrt(8.0 * p_prime / n2)
     adequate = replicates >= 2
-    if adequate:
-        se_true = float(np.std(d_true, ddof=1) / math.sqrt(replicates))
-        se_hat = float(np.std(d_hat, ddof=1) / math.sqrt(replicates))
-    else:
-        se_true = se_hat = float("nan")
-    slack = 3.0 * math.hypot(se_true, se_hat) if adequate else float("nan")
+    se_true, se_hat = _standard_error(d_true), _standard_error(d_hat)
+    slack = 3.0 * math.hypot(se_true, se_hat)  # nan unless adequate
     mean_true = float(np.mean(d_true))
     mean_hat = float(np.mean(d_hat))
     holds = adequate and mean_true <= mean_hat + correction + slack

@@ -6,13 +6,13 @@ to that region, taken at indices floor(n_region * s / branching).  Intervals
 are half-open (lo, hi]; the first and last interval of every split extend to
 the axis support bounds.
 
-A partition is stored level by level.  ``breaks[level]`` lists the sorted
-split points of every region at that level, regions in lexicographic path
-order; a region with ``b`` breaks has ``b + 1`` children.  The children of
-region ``r`` are the regions ``first[r], first[r] + 1, ...`` of the next level,
-where ``first`` is the running sum of the fan-outs before ``r``.  A leaf id is
-the region's number below the last level, so one lookup per level,
-``ids = first[ids] + #(breaks[ids] < x[axis])``, assigns a point to its leaf.
+A partition is stored level by level with one fan-out per level.
+``breaks[level]`` is a ``(regions, fan - 1)`` array holding the sorted split
+points of every region at that level, regions in lexicographic path order.
+The children of region ``r`` are the regions ``r * fan + j`` of the next level,
+``j = 0 .. fan - 1``.  A leaf id is the region's number below the last level,
+so one step per level, ``ids = ids * fan + #(breaks[ids] < x[axis])``, assigns
+a point to its leaf.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from functools import cached_property
 import json
 import math
+import numbers
 
 import numpy as np
 
@@ -33,45 +34,35 @@ class CapacityError(ValueError):
 
 @dataclass(frozen=True)
 class PartitionSpec:
-    """How to split: depth, per-level or per-region branching, axis order.
+    """How to split: depth, branching per level, axis order.
 
-    ``branching`` is one of
-      - an int: the same number of bins at every split,
-      - a sequence of ints: one bin count per level,
-      - a mapping from region path tuples (e.g. ``()``, ``(0,)``, ``(0, 2)``)
-        to that region's bin count.
+    ``branching`` is an int (the same number of bins at every split) or a
+    sequence of one bin count per level; it is stored as a tuple with one
+    entry per level.
     """
 
     depth: int
-    branching: object = 2
+    branching: int | tuple[int, ...] = 2
     axis_order: tuple[int, ...] | None = None
 
     def __post_init__(self):
         if self.depth < 1:
             raise ValueError("depth must be >= 1")
-        if isinstance(self.branching, (list, tuple)):
-            object.__setattr__(self, "branching", tuple(int(b) for b in self.branching))
-            if len(self.branching) != self.depth:
-                raise ValueError("per-level branching list must have one entry per level")
+        b = self.branching
+        if isinstance(b, numbers.Integral):
+            b = [b] * self.depth
+        elif not isinstance(b, (list, tuple)):
+            raise ValueError("branching must be an int or one int per level")
+        object.__setattr__(self, "branching", tuple(int(bins) for bins in b))
+        if len(self.branching) != self.depth:
+            raise ValueError("per-level branching list must have one entry per level")
         if self.axis_order is not None:
             order = tuple(int(a) for a in self.axis_order)
             if len(order) != self.depth or len(set(order)) != self.depth:
                 raise ValueError("axis_order must be a permutation of depth distinct axes")
             object.__setattr__(self, "axis_order", order)
-        if isinstance(self.branching, int) and self.branching < 2:
+        if min(self.branching) < 2:
             raise ValueError("every branching value must be >= 2")
-
-    def branching_at(self, path: tuple[int, ...]) -> int:
-        b = self.branching
-        if isinstance(b, int):
-            bins = b
-        elif isinstance(b, tuple):
-            bins = b[len(path)]
-        else:
-            bins = int(b[path])
-        if bins < 2:
-            raise ValueError(f"region {path}: branching value must be >= 2")
-        return bins
 
     def axis_at(self, level: int) -> int:
         if self.axis_order is not None:
@@ -91,36 +82,25 @@ class Leaf:
 class PartitionTree:
     """Immutable nested-region partition stored level by level.
 
-    ``breaks[level][r]`` holds the sorted split points of region ``r`` of that
-    level; ``counts`` holds the building-sample count per leaf, or is None for
-    fixed grids.  ``leaves`` is a derived view in lexicographic order.
+    ``breaks[level]`` is a ``(regions, fan - 1)`` array whose row ``r`` holds
+    the sorted split points of region ``r`` of that level; ``counts`` holds the
+    building-sample count per leaf, or is None for fixed grids.  ``leaves`` is
+    a derived view in lexicographic order.
     """
 
     k: int
     axes: tuple[int, ...]  # split axis per level
     bounds: tuple[tuple[float, float], ...]
-    breaks: tuple[tuple[np.ndarray, ...], ...]
+    breaks: tuple[np.ndarray, ...]
     counts: tuple[int, ...] | None
 
     @property
     def depth(self) -> int:
         return len(self.axes)
 
-    @cached_property
-    def _lookup(self) -> list[tuple[np.ndarray, np.ndarray]]:
-        # per level: each region's first child id and its +inf-padded breaks
-        out = []
-        for level in self.breaks:
-            fan = np.array([len(b) + 1 for b in level])
-            padded = np.full((len(level), fan.max() - 1), np.inf)
-            for r, b in enumerate(level):
-                padded[r, : len(b)] = b
-            out.append((np.cumsum(fan) - fan, padded))
-        return out
-
     @property
     def leaf_count(self) -> int:
-        return sum(len(b) + 1 for b in self.breaks[-1])
+        return math.prod(level.shape[1] + 1 for level in self.breaks)
 
     @cached_property
     def leaves(self) -> tuple[Leaf, ...]:
@@ -150,28 +130,26 @@ def build_moving_partition(model_sample: Dataset, spec: PartitionSpec) -> Partit
     # region r of the current level owns rows[starts[r]:starts[r + 1]], in the
     # order a stable sort of its parent region left them
     rows = np.arange(model_sample.n)
-    starts = [0, model_sample.n]
-    paths = [()]
+    starts = np.array([0, model_sample.n])
     breaks = []
-    for axis in axes:
+    for level, (axis, fan) in enumerate(zip(axes, spec.branching)):
+        sizes = np.diff(starts)
+        if np.any(sizes < fan):
+            r = int(np.argmax(sizes < fan))  # the first short region in level order
+            path = tuple(map(int, np.unravel_index(r, spec.branching[:level])))
+            raise CapacityError(
+                f"region {path}: {sizes[r]} building points cannot fill {fan} bins"
+            )
+        cuts = sizes[:, None] * np.arange(fan + 1) // fan  # child offsets per region
         col = model_sample.values[rows, axis]
-        level_breaks, next_starts, next_paths = [], [0], []
-        for r, path in enumerate(paths):
-            lo, hi = starts[r], starts[r + 1]
-            n, bins = hi - lo, spec.branching_at(path)
-            if n < bins:
-                raise CapacityError(
-                    f"region {path}: {n} building points cannot fill {bins} bins"
-                )
+        level_breaks = np.empty((len(sizes), fan - 1))
+        for r, (lo, hi) in enumerate(zip(starts[:-1], starts[1:])):
             order = np.argsort(col[lo:hi], kind="stable")
             rows[lo:hi] = rows[lo:hi][order]
-            cuts = [n * j // bins for j in range(bins + 1)]
             # order statistics, 1-indexed
-            level_breaks.append(col[lo + order[np.asarray(cuts[1:-1]) - 1]])
-            next_starts += [lo + c for c in cuts[1:]]
-            next_paths += [path + (j,) for j in range(bins)]
-        breaks.append(tuple(level_breaks))
-        starts, paths = next_starts, next_paths
+            level_breaks[r] = col[lo + order[cuts[r, 1:-1] - 1]]
+        breaks.append(level_breaks)
+        starts = np.append(0, (starts[:-1, None] + cuts[:, 1:]).ravel())
     counts = tuple(np.diff(starts).tolist())
     return PartitionTree(model_sample.k, axes, model_sample.bounds, tuple(breaks), counts)
 
@@ -188,7 +166,7 @@ def build_fixed_partition(grid, bounds=None) -> PartitionTree:
     bounds = tuple(bounds) if bounds else tuple((-np.inf, np.inf) for _ in range(k))
     breaks, regions = [], 1
     for g in grid:
-        breaks.append((g,) * regions)
+        breaks.append(np.tile(g, (regions, 1)))
         regions *= g.size + 1
     return PartitionTree(k, tuple(range(k)), bounds, tuple(breaks), None)
 
@@ -197,8 +175,8 @@ def assign(tree: PartitionTree, values) -> np.ndarray:
     """Leaf id of every row of values, the leaf whose (lo, hi] chain holds it."""
     values = np.asarray(values, dtype=float)
     ids = np.zeros(len(values), dtype=np.intp)
-    for axis, (first, padded) in zip(tree.axes, tree._lookup):
-        ids = first[ids] + np.sum(padded[ids] < values[:, axis, None], axis=1)
+    for axis, level in zip(tree.axes, tree.breaks):
+        ids = ids * (level.shape[1] + 1) + (level[ids] < values[:, axis, None]).sum(1)
     return ids
 
 
@@ -218,10 +196,7 @@ def model_pmf(tree: PartitionTree) -> np.ndarray:
     """Theoretical equal-mass leaf probabilities 1/(product of branchings)."""
     if tree.counts is None:
         raise ValueError("model_pmf requires a moving partition")
-    totals = [1]  # integer products of the fan-outs along each leaf's path
-    for level in tree.breaks:
-        totals = [t * (len(b) + 1) for t, b in zip(totals, level) for _ in range(len(b) + 1)]
-    return 1.0 / np.array(totals, dtype=float)
+    return np.full(tree.leaf_count, 1.0 / tree.leaf_count)
 
 
 def free_param_count(tree: PartitionTree) -> int:
@@ -273,19 +248,19 @@ def tree_from_json(text: str) -> PartitionTree:
         raise ValueError("partition document axes do not match its depth and dimension")
     if {(len(path), len(chain)) for path, chain in zip(paths, chains)} != {(depth, depth)}:
         raise ValueError("partition document leaves need one interval per level")
-    breaks = []
-    for level in range(depth):
-        # region path -> child index -> hi end of that child's first leaf
-        regions: dict[tuple, dict[int, float]] = {}
-        for path, chain in zip(paths, chains):
-            regions.setdefault(path[:level], {}).setdefault(path[level], chain[level][1])
-        breaks.append(tuple(np.array(list(his.values())[:-1]) for his in regions.values()))
-    tree = PartitionTree(
-        k, axes, bounds, tuple(breaks), None if None in counts else tuple(counts)
+    fans = [max(path[level] for path in paths) + 1 for level in range(depth)]
+    if len(paths) != math.prod(fans):
+        raise ValueError("partition document leaf count is not the product of its fan-outs")
+    # level l: the hi end of the first leaf below each child of every region
+    his = np.array([[hi for _, hi in chain] for chain in chains])
+    breaks = tuple(
+        his[:, level].reshape(math.prod(fans[:level]), fan, -1)[:, :-1, 0]
+        for level, fan in enumerate(fans)
     )
+    tree = PartitionTree(k, axes, bounds, breaks, None if None in counts else tuple(counts))
     rebuilt = [(leaf.path, leaf.intervals, leaf.count) for leaf in tree.leaves]
     if rebuilt != list(zip(paths, chains, counts)) or any(
-        np.any(np.diff(b) < 0) for level in tree.breaks for b in level
+        np.any(np.diff(level) < 0) for level in tree.breaks
     ):
         raise ValueError("partition document leaves do not tile their regions")
     return tree

@@ -1,9 +1,11 @@
 import hashlib
 import importlib.resources
 import json
+import os
 import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import jsonschema
 import numpy as np
@@ -189,6 +191,57 @@ class TestUnsupportedFormat:
         assert f"{argv[0]} does not support --format {fmt}; supported: {supported}" in err
 
 
+class TestUsageErrors:
+    FILES = ["--mother", "m.csv", "--model", "g.csv"]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["fit", *FILES, "--depth", "0", "--branching", "4", "--epsilon", "0.05"],
+            ["partition", "--model", "g.csv", "--depth", "0", "--branching", "4"],
+            ["simulate", "--table", "1", "--branching", "1"],
+            ["pairwise", *FILES, "--branching", "1", "--epsilon", "0.05"],
+            ["simulate", "--table", "1", "--n1", "1000", "0"],
+            ["simulate", "--table", "1", "--n2", "0"],
+            ["simulate", "--table", "5", "--k", "0"],
+            ["threshold", "--delta", "nan"],
+            ["threshold", "--delta", "inf"],
+            ["threshold", "--delta", "0"],
+        ],
+    )
+    def test_bad_value_exit_2(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            run(argv)
+        assert exc.value.code == 2
+        assert "error: argument" in capsys.readouterr().err
+
+
+def _reject_constant(name):
+    raise ValueError(f"not JSON: {name}")
+
+
+class TestStrictJson:
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "argv, nulls",
+        [
+            (["threshold", "--delta", "5"], ["capital_delta_star"]),
+            (["validate", "--theorem", "2", "--replicates", "1"], ["standard_error"]),
+            (["validate", "--theorem", "3", "--replicates", "1"], ["standard_error"]),
+            (["validate", "--theorem", "4", "--n2", "5000", "--replicates", "1"],
+             ["se_true", "se_estimated", "slack"]),
+        ],
+    )
+    def test_non_finite_values_are_null(self, capsys, argv, nulls):
+        code, out, err = run_cli(capsys, argv)
+        assert code == 0 and err == ""
+        payload = json.loads(out, parse_constant=_reject_constant)
+        flat = {**payload, **payload.get("branch_values", {})}
+        assert all(flat[key] is None for key in nulls)
+        if argv[0] == "threshold":
+            jsonschema.validate(payload, load_schema("threshold_report.schema.json"))
+
+
 class TestThreshold:
     def test_epsilon_query(self, capsys):
         code, out, _ = run_cli(
@@ -284,6 +337,8 @@ class TestValidate:
             ["--theorem", "3", "--n", "0"],
             ["--theorem", "4", "--replicates", "0"],
             ["--theorem", "2", "--replicates", "-5"],
+            ["--theorem", "4", "--n1", "0"],
+            ["--theorem", "4", "--n2", "0"],
         ],
     )
     def test_non_positive_sizes_exit_2(self, argv):
@@ -391,9 +446,12 @@ class TestConsoleScript:
         assert json.loads(proc.stdout)["delta_star"] == pytest.approx(0.02)
 
     def test_module_invocation(self):
+        # the checkout's src first, so the child imports this tree's package
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         proc = subprocess.run(
             [sys.executable, "-m", "hellfit.cli", "threshold", "--epsilon", "0.01"],
-            capture_output=True, text=True,
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["delta_star"] == pytest.approx(8e-4)

@@ -1,4 +1,5 @@
 import json
+from itertools import pairwise
 
 import numpy as np
 import pytest
@@ -48,6 +49,17 @@ class TestMovingPartition:
         sample = Dataset(np.array([[1.0], [2.0], [3.0]]))
         with pytest.raises(CapacityError, match=r"region \(\)"):
             build_moving_partition(sample, PartitionSpec(depth=1, branching=4))
+
+    @pytest.mark.parametrize(
+        "branching", [(4, 1), 1, (4, 3, 2), {(): 2, (0,): 2, (1,): 4}]
+    )
+    def test_bad_branching_rejected_at_construction(self, branching):
+        with pytest.raises(ValueError, match="branching"):
+            PartitionSpec(depth=2, branching=branching)
+
+    def test_branching_stored_per_level(self):
+        assert PartitionSpec(depth=3, branching=4).branching == (4, 4, 4)
+        assert PartitionSpec(depth=2, branching=[2, 3]).branching == (2, 3)
 
     def test_depth_exceeding_dimension(self):
         sample = Dataset(np.zeros((10, 1)) + np.arange(10).reshape(-1, 1))
@@ -125,16 +137,6 @@ class TestModelPmf:
         probs = model_pmf(tree)
         assert np.all(probs == 1 / 64)
         assert probs.sum() == 1.0
-
-    def test_mixed_branching_path_products(self):
-        sample = Dataset(RngStream(2).generator().standard_normal((240, 2)))
-        branching = {(): 2, (0,): 2, (1,): 4}
-        tree = build_moving_partition(
-            sample, PartitionSpec(depth=2, branching=branching)
-        )
-        probs = model_pmf(tree)
-        assert probs.tolist() == [0.25, 0.25, 0.125, 0.125, 0.125, 0.125]
-        assert free_param_count(tree) == 5
 
     def test_fixed_tree_rejected(self):
         tree = build_fixed_partition([[0.0]])
@@ -248,3 +250,15 @@ class TestSerialization:
 
     def test_leaf_missing_a_level_rejected(self):
         self.assert_rejected(lambda leaves: leaves[2]["path"].pop())
+
+    def test_regions_with_different_fan_outs_rejected(self):
+        # region 0 split in 2 and region 1 in 4: not one fan-out per level
+        leaves = [
+            {"path": [i, j], "intervals": [[i - 1.0, float(i)], [lo, hi]], "count": 1}
+            for i, fan in enumerate([2, 4])
+            for j, (lo, hi) in enumerate(pairwise(np.linspace(-1, 1, fan + 1).tolist()))
+        ]
+        doc = {"dimension": 2, "depth": 2, "axes": [0, 1],
+               "bounds": [[-1.0, 1.0], [-1.0, 1.0]], "leaves": leaves}
+        with pytest.raises(ValueError, match="partition document"):
+            tree_from_json(json.dumps(doc))

@@ -46,7 +46,7 @@ def ref_build_moving(sample, spec):
         if level == spec.depth:
             leaves.append((len(leaves), path, tuple(intervals), len(values)))
             return _Node(leaf=leaves[-1])
-        bins = spec.branching_at(path)
+        bins = spec.branching[len(path)]
         n = len(values)
         if n < bins:
             raise CapacityError(f"region {path}")
@@ -172,17 +172,11 @@ def moving_cases(draw):
     axis_order = None
     if draw(st.booleans()):
         axis_order = tuple(draw(st.permutations(range(k)))[:depth])
-    kind = draw(st.sampled_from(["int", "per-level", "mapping"]))
+    kind = draw(st.sampled_from(["int", "per-level"]))
     if kind == "int":
         branching = draw(st.integers(2, 4))
-    elif kind == "per-level":
-        branching = [draw(st.integers(2, 4)) for _ in range(depth)]
     else:
-        branching, frontier = {}, [()]
-        for _ in range(depth):
-            for path in frontier:
-                branching[path] = draw(st.integers(2, 4))
-            frontier = [p + (j,) for p in frontier for j in range(branching[p])]
+        branching = [draw(st.integers(2, 4)) for _ in range(depth)]
     spec = PartitionSpec(depth=depth, branching=branching, axis_order=axis_order)
     rng = RngStream(draw(st.integers(0, 2**32 - 1))).generator()
     n = draw(st.integers(8, 300))
