@@ -12,6 +12,8 @@ from hellfit.divergence import (
     symmetrized_alpha,
 )
 from hellfit.partition import (
+    CapacityError,
+    DegeneratePartitionError,
     PartitionSpec,
     PartitionTree,
     build_fixed_partition,
@@ -48,6 +50,8 @@ __all__ = [
     "generator_by_name",
     "hellinger",
     "symmetrized_alpha",
+    "CapacityError",
+    "DegeneratePartitionError",
     "PartitionSpec",
     "PartitionTree",
     "build_fixed_partition",

@@ -21,7 +21,6 @@ import math
 from typing import NamedTuple
 
 import numpy as np
-from scipy.optimize import brentq
 
 from hellfit.divergence import DivergenceGenerator
 
@@ -47,6 +46,7 @@ def capital_delta_star(f: DivergenceGenerator, delta: float) -> DeltaStarResult:
         raise ValueError("delta must be > 0")
     if math.isinf(f.at_zero):
         return DeltaStarResult(1.0, False)
+    from scipy.optimize import brentq  # imported here: the CLI loads this module on start
 
     def g(d):
         return float(f.evaluate(d)) / d + (1 - 1 / d) * f.at_zero - delta

@@ -16,7 +16,7 @@ import sys
 
 import numpy as np
 
-from hellfit import bayes_threshold, mc_validate
+from hellfit import bayes_threshold
 from hellfit.criterion import (
     evaluate_fitness,
     ks_two_sample,
@@ -200,6 +200,8 @@ def _run_threshold(args):
 
 
 def _run_simulate(args):
+    from hellfit import mc_validate  # scipy.stats, for simulate and validate only
+
     rows = mc_validate.reproduce_table(
         args.table,
         n1_values=args.n1,
@@ -217,6 +219,8 @@ def _run_simulate(args):
 
 
 def _run_validate(args):
+    from hellfit import mc_validate
+
     if args.theorem == 3:
         config = mc_validate.ExperimentConfig(
             distribution=mc_validate.UniformCube(1),
@@ -276,7 +280,7 @@ def _run_pairwise(args):
     payload = {
         "epsilon": args.epsilon,
         "threshold": bayes_threshold.delta_star_hellinger(args.epsilon),
-        "lhs_matrix": [list(row) for row in matrix],
+        "lhs_matrix": matrix.tolist(),
         "pairs": [
             {"pair": [i + 1, j + 1], **report.to_dict()}
             for (i, j), report in sorted(reports.items())
@@ -305,6 +309,8 @@ def run(argv=None) -> int:
             f"{args.command} does not support --format {args.format}; "
             f"supported: {', '.join(formats)}"
         )
+    if args.command == "simulate" and args.table >= 5 and args.k is not None and args.k < 2:
+        parser.error("argument --k: tables 5 and 6 scan coordinate pairs and need k >= 2")
     try:
         runner(args)
     except (OSError, ValueError, np.linalg.LinAlgError) as exc:

@@ -24,6 +24,7 @@ from hellfit.divergence import hellinger
 from hellfit.partition import (
     PartitionSpec,
     PartitionTree,
+    _split_level,
     build_moving_partition,
     count_into_bins,
     free_param_count,
@@ -112,16 +113,22 @@ def score_fitness(tree: PartitionTree, mother: Dataset, epsilon: float) -> Fitne
 
 
 def pairwise_partitions(model: Dataset, branching: int) -> dict:
-    """One depth-2 partition per coordinate pair (i, j), i < j, splitting i then j."""
+    """One depth-2 partition per coordinate pair (i, j), i < j, splitting i then j.
+
+    Each tree equals ``build_moving_partition`` with ``axis_order=(i, j)``;
+    axis i's root level is split once and shared by every pair (i, j).
+    """
     if model.k < 2:
         raise ValueError("pairwise scan needs k >= 2")
-    return {
-        (i, j): build_moving_partition(
-            model, PartitionSpec(depth=2, branching=branching, axis_order=(i, j))
-        )
-        for i in range(model.k)
-        for j in range(i + 1, model.k)
-    }
+    trees, fans = {}, (branching, branching)
+    for i in range(model.k - 1):
+        rows, starts = np.arange(model.n), np.array([0, model.n])
+        root, rows, starts = _split_level(model.values, rows, starts, i, fans, 0)
+        for j in range(i + 1, model.k):
+            split, _, ends = _split_level(model.values, rows, starts, j, fans, 1)
+            counts = tuple(np.diff(ends).tolist())
+            trees[(i, j)] = PartitionTree(model.k, (i, j), model.bounds, (root, split), counts)
+    return trees
 
 
 def pairwise_marginal_scan(mother: Dataset, partitions: dict, epsilon: float):

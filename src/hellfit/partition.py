@@ -13,6 +13,17 @@ The children of region ``r`` are the regions ``r * fan + j`` of the next level,
 ``j = 0 .. fan - 1``.  A leaf id is the region's number below the last level,
 so one step per level, ``ids = ids * fan + #(breaks[ids] < x[axis])``, assigns
 a point to its leaf.
+
+The moving build runs level by level on a permutation of the row indices.
+Per region, one ``np.partition`` (introselect) selects the order statistics
+just below and at every cut; the one below is the break.  Each row's child is
+then found by value with ``assign``'s rule, and the rows are regrouped by one
+stable sort of the small-integer child ids.  When the two order statistics
+at a cut are equal, building points tie across the break (an atom of the
+model sample) and the build raises ``DegeneratePartitionError``: splitting
+tied rows by position would give leaf counts that ``assign`` cannot
+reproduce.  Otherwise the children by value are exactly the children by
+position, so every leaf count equals a recount of the building sample.
 """
 
 from __future__ import annotations
@@ -30,6 +41,10 @@ from hellfit.dataset import Dataset
 
 class CapacityError(ValueError):
     """Building sample too small for the requested branching."""
+
+
+class DegeneratePartitionError(ValueError):
+    """Building points tie across a break: the model sample has an atom there."""
 
 
 @dataclass(frozen=True)
@@ -65,9 +80,7 @@ class PartitionSpec:
             raise ValueError("every branching value must be >= 2")
 
     def axis_at(self, level: int) -> int:
-        if self.axis_order is not None:
-            return self.axis_order[level]
-        return level
+        return level if self.axis_order is None else self.axis_order[level]
 
 
 @dataclass(frozen=True)
@@ -126,32 +139,51 @@ def build_moving_partition(model_sample: Dataset, spec: PartitionSpec) -> Partit
     axes = tuple(spec.axis_at(level) for level in range(spec.depth))
     if max(axes) >= model_sample.k:
         raise ValueError("axis_order references a missing coordinate")
-
-    # region r of the current level owns rows[starts[r]:starts[r + 1]], in the
-    # order a stable sort of its parent region left them
-    rows = np.arange(model_sample.n)
-    starts = np.array([0, model_sample.n])
-    breaks = []
-    for level, (axis, fan) in enumerate(zip(axes, spec.branching)):
-        sizes = np.diff(starts)
-        if np.any(sizes < fan):
-            r = int(np.argmax(sizes < fan))  # the first short region in level order
-            path = tuple(map(int, np.unravel_index(r, spec.branching[:level])))
-            raise CapacityError(
-                f"region {path}: {sizes[r]} building points cannot fill {fan} bins"
-            )
-        cuts = sizes[:, None] * np.arange(fan + 1) // fan  # child offsets per region
-        col = model_sample.values[rows, axis]
-        level_breaks = np.empty((len(sizes), fan - 1))
-        for r, (lo, hi) in enumerate(zip(starts[:-1], starts[1:])):
-            order = np.argsort(col[lo:hi], kind="stable")
-            rows[lo:hi] = rows[lo:hi][order]
-            # order statistics, 1-indexed
-            level_breaks[r] = col[lo + order[cuts[r, 1:-1] - 1]]
-        breaks.append(level_breaks)
-        starts = np.append(0, (starts[:-1, None] + cuts[:, 1:]).ravel())
+    rows, starts, breaks = np.arange(model_sample.n), np.array([0, model_sample.n]), []
+    for level, axis in enumerate(axes):
+        split, rows, starts = _split_level(
+            model_sample.values, rows, starts, axis, spec.branching, level
+        )
+        breaks.append(split)
     counts = tuple(np.diff(starts).tolist())
     return PartitionTree(model_sample.k, axes, model_sample.bounds, tuple(breaks), counts)
+
+
+def _split_level(values, rows, starts, axis, fans, level):
+    """Split every region of ``level`` into ``fans[level]`` equal-count children on ``axis``.
+
+    Region ``r`` owns ``rows[starts[r]:starts[r + 1]]``; ``fans`` holds the
+    fan-out of every level.  Returns the level's ``(regions, fan - 1)`` breaks
+    and the next level's rows and starts; rows are regrouped only when a
+    level follows.  Child ``r * fan + j`` holds region ``r``'s rows in
+    ``(break j - 1, break j]``, ``assign``'s rule.
+    """
+    fan, sizes = fans[level], np.diff(starts)
+    if np.any(sizes < fan):
+        r = int(np.argmax(sizes < fan))  # the first short region in level order
+        raise CapacityError(
+            f"region {_path(r, fans[:level])}: {sizes[r]} building points cannot fill {fan} bins"
+        )
+    cuts = sizes[:, None] * np.arange(fan + 1) // fan  # child offsets per region
+    col, breaks = values[rows, axis], np.empty((len(sizes), fan - 1))
+    child = np.empty(len(rows), np.int16 if len(sizes) * fan <= 2**15 else np.intp)
+    for r, (lo, hi) in enumerate(zip(starts[:-1], starts[1:])):
+        below = cuts[r, 1:-1] - 1  # 0-indexed order statistics just below each cut
+        stats = np.partition(col[lo:hi], np.append(below, below + 1))
+        breaks[r] = stats[below]
+        if np.any(stats[below] == stats[below + 1]):
+            raise DegeneratePartitionError(
+                f"region {_path(r, fans[:level])}: building points tie at a break on axis "
+                f"{axis}; a moving partition needs a continuous model sample"
+            )
+        child[lo:hi] = r * fan + np.searchsorted(breaks[r], col[lo:hi], side="left")
+    if level + 1 < len(fans):  # a stable sort of small child ids (radix for int16)
+        rows = rows[np.argsort(child, kind="stable")]
+    return breaks, rows, np.append(0, (starts[:-1, None] + cuts[:, 1:]).ravel())
+
+
+def _path(region: int, shape) -> tuple[int, ...]:
+    return tuple(map(int, np.unravel_index(region, shape)))
 
 
 def build_fixed_partition(grid, bounds=None) -> PartitionTree:

@@ -207,6 +207,8 @@ class TestUsageErrors:
             ["threshold", "--delta", "nan"],
             ["threshold", "--delta", "inf"],
             ["threshold", "--delta", "0"],
+            ["simulate", "--table", "5", "--k", "1"],  # rejected before any sampling
+            ["simulate", "--table", "6", "--k", "1"],
         ],
     )
     def test_bad_value_exit_2(self, capsys, argv):
@@ -368,6 +370,26 @@ class TestPartition:
         assert len(json.loads(out)["leaves"]) == 6
 
 
+class TestTiedModel:
+    """A model sample with atoms: 1000 x 2 integers in {0, 1, 2}."""
+
+    @pytest.fixture(scope="class")
+    def ties_file(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("cli-ties") / "ties.csv"
+        values = RngStream(0).generator().integers(0, 3, (1000, 2)).astype(float)
+        save_dataset(Dataset(values), path)
+        return str(path)
+
+    @pytest.mark.parametrize("command", ["fit", "partition"])
+    def test_atom_at_a_break_exit_1(self, ties_file, capsys, command):
+        argv = [command, "--model", ties_file, "--depth", "2", "--branching", "4"]
+        if command == "fit":
+            argv += ["--mother", ties_file, "--epsilon", "0.05"]
+        code, out, err = run_cli(capsys, argv)
+        assert code == 1 and out == ""
+        assert "hellfit: error: region (): building points tie at a break on axis 0" in err
+
+
 class TestPairwise:
     def test_two_dims(self, sample_files, capsys):
         mother, model = sample_files
@@ -382,6 +404,16 @@ class TestPairwise:
         assert len(payload["pairs"]) == 1
         assert payload["lhs_matrix"][0][1] == payload["pairs"][0]["lhs"]
         assert payload["lhs_matrix"][1][0] is None
+
+    def test_pretty_prints_plain_numbers(self, sample_files, capsys):
+        mother, model = sample_files
+        code, out, _ = run_cli(
+            capsys,
+            ["--format", "pretty", "pairwise", "--mother", mother, "--model", model,
+             "--epsilon", "0.05"],
+        )
+        assert code == 0
+        assert "lhs_matrix: [[None, 0." in out and "np.float64" not in out
 
     @pytest.mark.parametrize("swap", [False, True])
     def test_dimension_mismatch_is_runtime_error(
@@ -445,13 +477,26 @@ class TestConsoleScript:
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["delta_star"] == pytest.approx(0.02)
 
-    def test_module_invocation(self):
-        # the checkout's src first, so the child imports this tree's package
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        proc = subprocess.run(
-            [sys.executable, "-m", "hellfit.cli", "threshold", "--epsilon", "0.01"],
-            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
+    def test_import_skips_scipy_optimize_and_stats(self):
+        proc = run_checkout_python(
+            "-c",
+            "import sys, hellfit.cli; print(sorted(m for m in sys.modules"
+            " if m.startswith(('scipy.optimize', 'scipy.stats'))))",
         )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
+    def test_module_invocation(self):
+        proc = run_checkout_python("-m", "hellfit.cli", "threshold", "--epsilon", "0.01")
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["delta_star"] == pytest.approx(8e-4)
+
+
+def run_checkout_python(*args):
+    """A fresh interpreter with the checkout's src first, so it imports this tree."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, *args],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
+    )

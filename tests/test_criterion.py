@@ -11,10 +11,17 @@ from hellfit.criterion import (
     evaluate_fitness,
     implied_epsilon,
     ks_two_sample,
+    pairwise_partitions,
     score_fitness,
 )
 from hellfit.dataset import Dataset, RngStream, ar_covariance, sample_mvn
-from hellfit.partition import PartitionSpec, build_fixed_partition, build_moving_partition
+from hellfit.partition import (
+    CapacityError,
+    DegeneratePartitionError,
+    PartitionSpec,
+    build_fixed_partition,
+    build_moving_partition,
+)
 
 
 class TestBiasCorrection:
@@ -188,6 +195,54 @@ class TestScoreFitness:
         )
         with pytest.raises(ValueError, match=r"epsilon must be in \(0, 0.5\)"):
             score_fitness(tree, Dataset(rng.standard_normal((10, 1))), epsilon)
+
+
+class TestPairwisePartitions:
+    """Differential: the shared-root scan against one independent build per pair."""
+
+    @staticmethod
+    def independent(model, branching, i, j):
+        return build_moving_partition(model, PartitionSpec(2, branching, (i, j)))
+
+    @pytest.mark.parametrize(
+        "k, branching, n, bounded",
+        [(2, 4, 500, False), (4, 3, 2000, False), (5, 4, 16, False), (3, 2, 7, False),
+         (4, 4, 3000, True)],
+    )
+    def test_pairs_equal_independent_builds(self, k, branching, n, bounded):
+        rng = RngStream(20, k).generator()
+        if bounded:
+            model = Dataset(1.0 - rng.random((n, k)), tuple((0.0, 1.0) for _ in range(k)))
+        else:
+            model = Dataset(rng.standard_normal((n, k)))
+        trees = pairwise_partitions(model, branching)
+        assert list(trees) == [(i, j) for i in range(k) for j in range(i + 1, k)]
+        for (i, j), tree in trees.items():
+            ref = self.independent(model, branching, i, j)
+            assert (tree.k, tree.axes, tree.bounds) == (ref.k, ref.axes, ref.bounds)
+            assert [b.tobytes() for b in tree.breaks] == [b.tobytes() for b in ref.breaks]
+            assert [b.shape for b in tree.breaks] == [b.shape for b in ref.breaks]
+            assert tree.counts == ref.counts
+
+    @pytest.mark.parametrize("defect", ["atom-0", "atom-1", "atom-2", "capacity"])
+    def test_errors_equal_the_first_independent_builds(self, defect):
+        rng = RngStream(21).generator()
+        values = rng.standard_normal((15 if defect == "capacity" else 400, 4))
+        if defect.startswith("atom"):
+            axis = int(defect[-1])
+            values[:, axis] = np.round(values[:, axis])  # an atom at the root median
+        model = Dataset(values)
+        expected = None
+        for i, j in [(i, j) for i in range(4) for j in range(i + 1, 4)]:
+            try:
+                self.independent(model, 4, i, j)
+            except (CapacityError, DegeneratePartitionError) as exc:
+                expected = exc
+                break
+        assert expected is not None
+        with pytest.raises(type(expected)) as exc:
+            pairwise_partitions(model, 4)
+        assert str(exc.value) == str(expected)
 
 
 class TestWorkflowGolden:

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from hellfit.dataset import Dataset, RngStream
 from hellfit.partition import (
     CapacityError,
+    DegeneratePartitionError,
     PartitionSpec,
     build_fixed_partition,
     build_moving_partition,
@@ -204,14 +205,38 @@ class TestProperties:
         assert {l.count for l in tree.leaves} == {9}
 
     def test_tied_values_deterministic(self):
+        # 6 x 0.0 and 2 x 1.0 in 4 bins: 0.0 sits on both sides of the first cuts
         values = np.array([[0.0]] * 6 + [[1.0]] * 2)
         spec = PartitionSpec(depth=1, branching=4)
-        t1 = build_moving_partition(Dataset(values), spec)
-        t2 = build_moving_partition(Dataset(values.copy()), spec)
-        assert [l.intervals for l in t1.leaves] == [l.intervals for l in t2.leaves]
-        # duplicated order statistics produce empty-width intervals
-        widths = [hi - lo for lo, hi in (l.intervals[0] for l in t1.leaves)]
-        assert 0.0 in widths
+        errors = []
+        for sample in (Dataset(values), Dataset(values[::-1].copy())):
+            with pytest.raises(DegeneratePartitionError, match=r"region \(\): .* axis 0") as exc:
+                build_moving_partition(sample, spec)
+            errors.append(str(exc.value))
+        assert errors[0] == errors[1]
+
+    def test_atom_below_the_root_names_its_region(self):
+        x = np.arange(16.0)  # root region j holds rows 4j .. 4j + 3
+        y = RngStream(10).generator().standard_normal(16)
+        y[8:12] = 7.0  # region (2,) is one value on axis 1
+        sample = Dataset(np.column_stack([x, y]))
+        with pytest.raises(DegeneratePartitionError, match=r"region \(2,\): .* axis 1"):
+            build_moving_partition(sample, PartitionSpec(depth=2, branching=4))
+
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 3), st.integers(2, 4), st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_leaf_counts_equal_a_value_based_recount(self, seed, k, branching, coarse):
+        rng = RngStream(seed).generator()
+        depth = int(rng.integers(1, k + 1))
+        values = rng.standard_normal((int(rng.integers(branching**depth, 400)), k))
+        if coarse:  # ties everywhere; only builds without an atom at a break succeed
+            values = np.round(values * 4) / 4
+        sample = Dataset(values)
+        try:
+            tree = build_moving_partition(sample, PartitionSpec(depth, branching))
+        except (CapacityError, DegeneratePartitionError):
+            return
+        assert count_into_bins(tree, sample).tolist() == list(tree.counts)
 
 
 class TestSerialization:

@@ -2,11 +2,14 @@
 
 The reference below is the node-tree implementation the level-major layout
 replaced, trimmed to what this test calls.  Both must give the same leaves,
-counts, point locations, model probabilities and JSON bytes.
+counts, point locations, model probabilities and JSON bytes.  Where the
+building sample has an atom at a break, the reference marks it and the build
+must raise ``DegeneratePartitionError`` instead.
 """
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -15,6 +18,7 @@ from hypothesis import given, settings, strategies as st
 from hellfit.dataset import Dataset, RngStream
 from hellfit.partition import (
     CapacityError,
+    DegeneratePartitionError,
     PartitionSpec,
     build_fixed_partition,
     build_moving_partition,
@@ -38,8 +42,16 @@ class _Node:
 
 
 def ref_build_moving(sample, spec):
+    """The recursive build, plus the error a level-by-level build must raise.
+
+    A region too small for its bins gets no children, and a region where the
+    order statistics at ``cut - 1`` and ``cut`` are equal (an atom at a
+    break) is still split by position, so every region is visited.  Of the
+    regions with such a defect, the one at the lowest level decides the
+    expected error, capacity before atoms, then the first in path order.
+    """
     axes = tuple(spec.axis_at(level) for level in range(spec.depth))
-    leaves = []
+    leaves, defects = [], []  # defects: (level, 0 capacity / 1 atom, path, axis)
 
     def build(values, path, intervals):
         level = len(path)
@@ -48,13 +60,16 @@ def ref_build_moving(sample, spec):
             return _Node(leaf=leaves[-1])
         bins = spec.branching[len(path)]
         n = len(values)
-        if n < bins:
-            raise CapacityError(f"region {path}")
         axis = axes[level]
+        if n < bins:
+            defects.append((level, 0, path, axis))
+            return _Node()
         values = values[np.argsort(values[:, axis], kind="stable")]
         col = values[:, axis]
         cuts = [n * j // bins for j in range(bins + 1)]
         breaks = col[np.asarray(cuts[1:-1], dtype=int) - 1]
+        if np.any(breaks == col[np.asarray(cuts[1:-1], dtype=int)]):
+            defects.append((level, 1, path, axis))
         lo_bound, hi_bound = sample.bounds[axis]
         children = []
         for j in range(bins):
@@ -66,7 +81,15 @@ def ref_build_moving(sample, spec):
         return _Node(axis=axis, breaks=breaks, children=children)
 
     root = build(sample.values, (), [])
-    return root, leaves, axes, sample.bounds
+    return root, leaves, axes, sample.bounds, min(defects, default=None)
+
+
+def expected_error(defect):
+    """The error type and message start a build must raise for a defect."""
+    _, atom, path, axis = defect
+    if atom:
+        return DegeneratePartitionError, rf"region {re.escape(str(path))}: .* axis {axis};"
+    return CapacityError, rf"region {re.escape(str(path))}: \d+ building points"
 
 
 def ref_build_fixed(grid, bounds):
@@ -192,6 +215,33 @@ def moving_cases(draw):
     return Dataset(values, bounds), spec, rng
 
 
+@st.composite
+def edge_cases(draw):
+    """Constant columns, sizes at capacity, extreme magnitudes, values on a bound."""
+    k = draw(st.integers(1, 3))
+    depth = draw(st.integers(1, k))
+    branching = [draw(st.integers(2, 4)) for _ in range(depth)]
+    spec = PartitionSpec(depth=depth, branching=branching)
+    rng = RngStream(draw(st.integers(0, 2**32 - 1))).generator()
+    kind = draw(st.sampled_from(["constant", "capacity", "huge", "subnormal", "on-bound"]))
+    n = int(np.prod(branching)) + draw(st.integers(0, 1))
+    if kind != "capacity":
+        n = draw(st.integers(n, 200))
+    values, bounds = rng.standard_normal((n, k)), ()
+    if kind == "constant":
+        # on a split axis: the build raises at that level or above
+        values[:, draw(st.integers(0, depth - 1))] = draw(st.sampled_from([0.0, -1e300, 5e-324]))
+    elif kind == "huge":
+        values *= 1e300
+    elif kind == "subnormal":  # distinct multiples of the smallest subnormal
+        values = rng.integers(-(2**40), 2**40, (n, k)) * 5e-324
+    elif kind == "on-bound":
+        values = 1.0 - rng.random((n, k))  # in (0, 1]
+        values[rng.random((n, k)) < draw(st.sampled_from([0.01, 0.2]))] = 1.0
+        bounds = tuple((0.0, 1.0) for _ in range(k))
+    return Dataset(values, bounds), spec, rng
+
+
 def _probe(rng, sample, leaves):
     """Fresh points, the building rows, and points on interval endpoints."""
     edges = [hi for _, _, intervals, _ in leaves for _, hi in intervals if np.isfinite(hi)]
@@ -200,7 +250,7 @@ def _probe(rng, sample, leaves):
 
 
 def assert_same(tree, ref, values):
-    root, leaves, axes, bounds = ref
+    root, leaves, axes, bounds = ref[:4]
     assert tree.axes == axes and tree.bounds == tuple(bounds)
     assert [(l.index, l.path, l.intervals, l.count) for l in tree.leaves] == leaves
     assert tree.leaf_count == len(leaves)
@@ -221,19 +271,29 @@ def assert_same(tree, ref, values):
 # ------------------------------------------------------------------- tests
 
 
-@given(moving_cases())
-@settings(max_examples=150, deadline=None)
-def test_moving_partition_matches_reference(case):
-    sample, spec, rng = case
-    try:
-        ref = ref_build_moving(sample, spec)
-    except CapacityError:
-        with pytest.raises(CapacityError):
+def assert_matches_reference(sample, spec, rng):
+    """The build raises the reference's expected error, or equals the reference."""
+    ref = ref_build_moving(sample, spec)
+    if ref[4] is not None:
+        error, message = expected_error(ref[4])
+        with pytest.raises(error, match=message):
             build_moving_partition(sample, spec)
         return
     tree = build_moving_partition(sample, spec)
     assert_same(tree, ref, _probe(rng, sample, ref[1]))
     assert model_pmf(tree).tobytes() == ref_model_pmf(ref[0], ref[1]).tobytes()
+
+
+@given(moving_cases())
+@settings(max_examples=150, deadline=None)
+def test_moving_partition_matches_reference(case):
+    assert_matches_reference(*case)
+
+
+@given(edge_cases())
+@settings(max_examples=150, deadline=None)
+def test_edge_cases_match_reference(case):
+    assert_matches_reference(*case)
 
 
 @given(
