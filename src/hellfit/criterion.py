@@ -16,7 +16,6 @@ import json
 import math
 
 import numpy as np
-from scipy.special import kolmogorov
 
 from hellfit.bayes_threshold import delta_star_hellinger
 from hellfit.dataset import Dataset
@@ -151,6 +150,8 @@ def ks_two_sample(x, y) -> tuple[float, float]:
     The p-value uses the limiting Kolmogorov distribution evaluated at
     sqrt(nx ny / (nx + ny)) times the statistic.
     """
+    from scipy.special import kolmogorov  # imported here: the CLI loads this module on start
+
     x = np.sort(np.asarray(x, dtype=float).ravel())
     y = np.sort(np.asarray(y, dtype=float).ravel())
     if x.size == 0 or y.size == 0:

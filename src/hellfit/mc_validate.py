@@ -1,8 +1,11 @@
 """Monte Carlo checks of the asymptotic risk results and table reproduction.
 
-Built-in distributions expose both a sampler and exact region masses, so the
-realized partitions can be scored against the truth.  Replicates each own an
-independent RngStream and are reduced in replicate-index order.
+Built-in distributions expose a sampler and ``leaf_masses(tree)``, the exact
+probability of every leaf of a built partition, so the realized partitions can
+be scored against the truth.  Leaf masses are computed for all leaves at once
+from the partition's level arrays (``partition.leaf_edges``), with no per-leaf
+Python loop.  Replicates each own an independent RngStream and are reduced in
+replicate-index order.
 """
 
 from __future__ import annotations
@@ -27,13 +30,15 @@ from hellfit.partition import (
     build_moving_partition,
     free_param_count,
     count_into_bins,
+    leaf_edges,
     model_pmf,
 )
 from hellfit.criterion import pairwise_marginal_scan, pairwise_partitions, score_fitness
 
 
 class UniformCube:
-    """Independent U(0, 1) coordinates."""
+    """Independent U(0, 1) coordinates; a leaf's mass is the product, level by
+    level, of its intervals clipped to [0, 1]."""
 
     def __init__(self, k: int):
         self.k = k
@@ -42,19 +47,23 @@ class UniformCube:
     def sample(self, n: int, rng: RngStream) -> Dataset:
         return Dataset(rng.generator().random((n, self.k)), self.bounds)
 
-    def region_mass(self, axes, box) -> float:
+    def leaf_masses(self, tree: PartitionTree) -> np.ndarray:
         mass = 1.0
-        for (lo, hi) in box:
-            mass *= min(max(hi, 0.0), 1.0) - min(max(lo, 0.0), 1.0)
+        for lo, hi in zip(*leaf_edges(tree)):
+            mass *= np.clip(hi, 0.0, 1.0) - np.clip(lo, 0.0, 1.0)
         return mass
 
 
 class MultivariateNormal:
-    """N(mean, cov) with exact axis-aligned box masses.
+    """N(mean, cov) with exact leaf masses.
 
-    Masses factorize over axes when the coordinates involved are
-    uncorrelated; otherwise the joint rectangle probability is computed by
-    inclusion-exclusion over the (quasi-Monte Carlo) normal CDF.
+    Masses factorize over the split axes when those coordinates are
+    uncorrelated: per level one vectorized ``norm.cdf`` difference, multiplied
+    down the levels.  Otherwise each leaf's rectangle probability is summed by
+    inclusion-exclusion over its 2^d corners, one batched ``cdf`` of a single
+    frozen distribution per corner pattern.  scipy's CDF is deterministic in
+    2-D; from 3-D on it is a randomized quasi-Monte Carlo integral (seed 0),
+    whose stream runs across all leaves of a call.
     """
 
     def __init__(self, mean, cov):
@@ -71,40 +80,31 @@ class MultivariateNormal:
     def sample(self, n: int, rng: RngStream) -> Dataset:
         return sample_mvn(n, self.mean, self.cov, rng)
 
-    def region_mass(self, axes, box) -> float:
-        axes = list(axes)
+    def leaf_masses(self, tree: PartitionTree) -> np.ndarray:
+        axes = list(tree.axes)
         sub_cov = self.cov[np.ix_(axes, axes)]
         sub_mean = self.mean[axes]
-        off_diag = sub_cov - np.diag(np.diag(sub_cov))
-        if len(axes) == 1 or not np.any(off_diag):
+        lows, highs = leaf_edges(tree)
+        if len(axes) == 1 or not np.any(sub_cov - np.diag(np.diag(sub_cov))):
             mass = 1.0
-            for i, (lo, hi) in enumerate(box):
-                sd = math.sqrt(sub_cov[i, i])
-                mass *= norm.cdf(hi, sub_mean[i], sd) - norm.cdf(lo, sub_mean[i], sd)
+            for mean, var, lo, hi in zip(sub_mean, np.diag(sub_cov), lows, highs):
+                sd = math.sqrt(var)
+                mass *= norm.cdf(hi, mean, sd) - norm.cdf(lo, mean, sd)
             return mass
         dist = multivariate_normal(mean=sub_mean, cov=sub_cov, seed=0)
-        lowers = np.array([lo for lo, _ in box])
-        uppers = np.array([hi for _, hi in box])
-        total = 0.0
-        for mask in range(1 << len(axes)):
-            corner = uppers.copy()
-            sign = 1.0
-            for i in range(len(axes)):
-                if mask >> i & 1:
-                    corner[i] = lowers[i]
-                    sign = -sign
-            if np.any(np.isneginf(corner)):
-                continue
-            total += sign * float(dist.cdf(corner))
-        return max(total, 0.0)
+        total = np.zeros(tree.leaf_count)
+        for mask in range(1 << len(axes)):  # inclusion-exclusion over the 2^d corners
+            bits = mask >> np.arange(len(axes)) & 1
+            corners = np.where(bits[:, None] == 1, lows, highs).T
+            rows = ~np.any(np.isneginf(corners), axis=1)  # a -inf corner has mass 0
+            if rows.any():
+                total[rows] += (-1.0) ** bits.sum() * dist.cdf(corners[rows])
+        return np.maximum(total, 0.0)
 
 
 def true_leaf_masses(tree: PartitionTree, dist) -> np.ndarray:
     """Probability of each leaf region under the given distribution."""
-    masses = np.empty(tree.leaf_count)
-    for leaf in tree.leaves:
-        masses[leaf.index] = dist.region_mass(tree.axes, leaf.intervals)
-    return masses
+    return dist.leaf_masses(tree)
 
 
 @dataclass(frozen=True)
@@ -137,7 +137,7 @@ def one_sample_risk_moving(config: ExperimentConfig) -> RiskEstimate:
     """Mean divergence between true and equal-mass leaf masses over replicates
     of sample-built partitions; the asymptotic prediction is p'/(2n)."""
     dist = config.distribution
-    if not hasattr(dist, "region_mass"):
+    if not hasattr(dist, "leaf_masses"):
         raise ValueError("moving-region risk needs a distribution with known masses")
     if config.replicates < 1:
         raise ValueError("replicates must be >= 1")
@@ -216,7 +216,7 @@ def bias_bound_check(
     """Checks E D[m1:m2] <= E D[m1_hat:m2_hat] + sqrt(8 p'/n2) with 3-SE slack.
 
     Per replicate the partition is rebuilt from a fresh model sample; the
-    true-mass divergence uses exact region masses under both distributions.
+    true-mass divergence uses exact leaf masses under both distributions.
     """
     if replicates < 1:
         raise ValueError("replicates must be >= 1")
@@ -299,6 +299,8 @@ def reproduce_table(
         return rows
     if table_id in _PAIRWISE_N1:
         k = 10 if k is None else k
+        if k < 2:
+            raise ValueError("pairwise scan needs k >= 2")
         n1 = _PAIRWISE_N1[table_id]
         mother = MultivariateNormal.shifted(k, 0.1, 0.1)
         model = MultivariateNormal(np.zeros(k), np.eye(k))

@@ -132,6 +132,21 @@ class PartitionTree:
         )
 
 
+def leaf_edges(tree: PartitionTree) -> tuple[np.ndarray, np.ndarray]:
+    """(lows, highs), each ``(depth, leaf_count)``: every leaf's (lo, hi] per level.
+
+    Read from the level arrays: each region's breaks padded with the axis
+    bounds, repeated down to the leaves below each child.
+    """
+    lows, highs = [], []
+    for axis, level in zip(tree.axes, tree.breaks):
+        edges = np.pad(level, ((0, 0), (1, 1)), constant_values=tree.bounds[axis])
+        below = tree.leaf_count // edges[:, 1:].size  # leaves under each child
+        lows.append(np.repeat(edges[:, :-1].ravel(), below))
+        highs.append(np.repeat(edges[:, 1:].ravel(), below))
+    return np.array(lows), np.array(highs)
+
+
 def build_moving_partition(model_sample: Dataset, spec: PartitionSpec) -> PartitionTree:
     """Equal-mass recursive partition built from the model sample."""
     if spec.depth > model_sample.k:
@@ -170,7 +185,7 @@ def _split_level(values, rows, starts, axis, fans, level):
     for r, (lo, hi) in enumerate(zip(starts[:-1], starts[1:])):
         below = cuts[r, 1:-1] - 1  # 0-indexed order statistics just below each cut
         stats = np.partition(col[lo:hi], np.append(below, below + 1))
-        breaks[r] = stats[below]
+        breaks[r] = stats[below] + 0.0  # a zero break is +0.0, whatever order its rows are in
         if np.any(stats[below] == stats[below + 1]):
             raise DegeneratePartitionError(
                 f"region {_path(r, fans[:level])}: building points tie at a break on axis "

@@ -443,6 +443,20 @@ GOLDEN_OUTPUTS = {
         ["simulate", "--table", "5", "--k", "4", "--n2", "20000"],
         "f119933e299016dc4f9c3d28a35db5b11bf5eac98ae755b13a4def34f02088db",
     ),
+    "validate-theorem-3": (
+        ["validate", "--theorem", "3", "--n", "500", "--replicates", "200"],
+        "111cf94d3f06910c227b3adac18bf84fef5d01ae6096becb85e4f9fd6ac8846d",
+    ),
+    "validate-theorem-4-identical": (
+        ["validate", "--theorem", "4", "--config", "identical-normals",
+         "--n1", "1000", "--n2", "20000", "--replicates", "10"],
+        "f9213091ea1b5446f7dbaa2b31d1289e9fbdce033d8579d564f3e0eecbf0c211",
+    ),
+    "validate-theorem-4-shifted": (
+        ["validate", "--theorem", "4", "--config", "shifted-normals",
+         "--n1", "1000", "--n2", "20000", "--replicates", "10"],
+        "8bad18b9a9fb2f0c2ab63b22085da65a857841ba2002824f98039d455e8426ad",
+    ),
 }
 
 
@@ -481,7 +495,7 @@ class TestConsoleScript:
         proc = run_checkout_python(
             "-c",
             "import sys, hellfit.cli; print(sorted(m for m in sys.modules"
-            " if m.startswith(('scipy.optimize', 'scipy.stats'))))",
+            " if m == 'scipy' or m.startswith('scipy.')))",
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy.stats import norm
+from scipy.stats import multivariate_normal, norm
 
 from hellfit.criterion import evaluate_fitness, pairwise_marginal_scan, pairwise_partitions
 from hellfit.dataset import Dataset, RngStream
@@ -19,15 +19,19 @@ from hellfit.mc_validate import (
     reproduce_table,
     true_leaf_masses,
 )
-from hellfit.partition import PartitionSpec, build_moving_partition
+from hellfit.partition import PartitionSpec, build_fixed_partition, build_moving_partition
+
+
+def grid_leaf_mass(dist, grid, path):
+    """Mass of the leaf at ``path`` of the fixed grid with these breakpoints."""
+    masses = dist.leaf_masses(build_fixed_partition(grid))
+    return masses[np.ravel_multi_index(path, [len(g) + 1 for g in grid])]
 
 
 class TestDistributions:
     def test_uniform_region_mass(self):
         cube = UniformCube(2)
-        assert cube.region_mass([0, 1], [(-np.inf, 0.5), (0.25, np.inf)]) == pytest.approx(
-            0.5 * 0.75
-        )
+        assert grid_leaf_mass(cube, [[0.5], [0.25]], (0, 1)) == pytest.approx(0.5 * 0.75)
 
     def test_uniform_sampling_in_bounds(self):
         ds = UniformCube(3).sample(1000, RngStream(0))
@@ -36,14 +40,13 @@ class TestDistributions:
 
     def test_mvn_independent_mass_factorizes(self):
         dist = MultivariateNormal([0.0, 1.0], np.diag([1.0, 4.0]))
-        box = [(-np.inf, 0.0), (1.0, 3.0)]
         expected = norm.cdf(0.0) * (norm.cdf(3.0, 1.0, 2.0) - norm.cdf(1.0, 1.0, 2.0))
-        assert dist.region_mass([0, 1], box) == pytest.approx(expected, rel=1e-12)
+        mass = grid_leaf_mass(dist, [[0.0], [1.0, 3.0]], (0, 1))  # (-inf, 0] x (1, 3]
+        assert mass == pytest.approx(expected, rel=1e-12)
 
     def test_mvn_correlated_mass_vs_mc(self):
         dist = MultivariateNormal.shifted(2, 0.0, 0.5)
-        box = [(-0.5, 0.8), (0.0, np.inf)]
-        mass = dist.region_mass([0, 1], box)
+        mass = grid_leaf_mass(dist, [[-0.5, 0.8], [0.0]], (1, 1))  # (-0.5, 0.8] x (0, inf)
         pts = dist.sample(200000, RngStream(1)).values
         inside = (
             (pts[:, 0] > -0.5) & (pts[:, 0] <= 0.8) & (pts[:, 1] > 0.0)
@@ -52,8 +55,7 @@ class TestDistributions:
 
     def test_mvn_whole_space_mass_one(self):
         dist = MultivariateNormal.shifted(2, 0.3, 0.2)
-        box = [(-np.inf, np.inf), (-np.inf, np.inf)]
-        assert dist.region_mass([0, 1], box) == pytest.approx(1.0, abs=1e-6)
+        assert grid_leaf_mass(dist, [[], []], (0, 0)) == pytest.approx(1.0, abs=1e-6)
 
     def test_shifted_family_parameters(self):
         dist = MultivariateNormal.shifted(3, 0.1, 0.2)
@@ -70,6 +72,106 @@ class TestDistributions:
         assert masses.sum() == pytest.approx(1.0, abs=1e-12)
         # equal-mass splits of the sampling distribution: each mass near 1/4
         assert np.all(np.abs(masses - 0.25) < 0.03)
+
+
+def reference_box_mass(dist, axes, box) -> float:
+    """One box at a time: the per-box mass that ``leaf_masses`` replaced."""
+    if isinstance(dist, UniformCube):
+        mass = 1.0
+        for (lo, hi) in box:
+            mass *= min(max(hi, 0.0), 1.0) - min(max(lo, 0.0), 1.0)
+        return mass
+    axes = list(axes)
+    sub_cov = dist.cov[np.ix_(axes, axes)]
+    sub_mean = dist.mean[axes]
+    off_diag = sub_cov - np.diag(np.diag(sub_cov))
+    if len(axes) == 1 or not np.any(off_diag):
+        mass = 1.0
+        for i, (lo, hi) in enumerate(box):
+            sd = math.sqrt(sub_cov[i, i])
+            mass *= norm.cdf(hi, sub_mean[i], sd) - norm.cdf(lo, sub_mean[i], sd)
+        return mass
+    joint = multivariate_normal(mean=sub_mean, cov=sub_cov, seed=0)
+    lowers = np.array([lo for lo, _ in box])
+    uppers = np.array([hi for _, hi in box])
+    total = 0.0
+    for mask in range(1 << len(axes)):
+        corner = uppers.copy()
+        sign = 1.0
+        for i in range(len(axes)):
+            if mask >> i & 1:
+                corner[i] = lowers[i]
+                sign = -sign
+        if np.any(np.isneginf(corner)):
+            continue
+        total += sign * float(joint.cdf(corner))
+    return max(total, 0.0)
+
+
+def reference_leaf_masses(tree, dist) -> np.ndarray:
+    return np.array([reference_box_mass(dist, tree.axes, leaf.intervals) for leaf in tree.leaves])
+
+
+class TestLeafMassesDifferential:
+    """``leaf_masses`` against the per-box reference, byte for byte."""
+
+    DISTRIBUTIONS = {
+        "cube-1": UniformCube(1),
+        "cube-2": UniformCube(2),
+        "cube-3": UniformCube(3),
+        "normal-1": MultivariateNormal([0.3], [[2.0]]),
+        "normal-2-factorized": MultivariateNormal([0.0, 1.0], np.diag([1.0, 4.0])),
+        "normal-2-correlated": MultivariateNormal.shifted(2, 0.1, 0.1),
+        "normal-3-factorized": MultivariateNormal([0.0, 1.0, -1.0], np.diag([1.0, 4.0, 0.5])),
+    }
+    GRIDS = {
+        1: [[[-0.5, 0.2, 0.7, 1.5]], [[]]],
+        2: [
+            [[-0.5, 0.2, 0.7], [0.1, 0.9]],
+            [[0.3], []],
+            [[], [-1.0, 0.5, 2.0]],
+            [[0.3, 0.3 + 1e-10], [0.3, 0.3 + 1e-10]],  # round-off can sum below 0
+        ],
+        3: [[[0.1, 0.6], [-0.3, 0.4, 1.2], [0.5]]],
+    }
+
+    @pytest.mark.parametrize("name", sorted(DISTRIBUTIONS))
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_moving_trees(self, name, seed):
+        dist = self.DISTRIBUTIONS[name]
+        fans = [5, 3, 2][: dist.k]
+        tree = build_moving_partition(
+            dist.sample(2000, RngStream(20, seed)), PartitionSpec(depth=dist.k, branching=fans)
+        )
+        got = dist.leaf_masses(tree)
+        assert got.tobytes() == reference_leaf_masses(tree, dist).tobytes()
+        assert np.all(got > 0) and got.sum() == pytest.approx(1.0, abs=1e-5)
+
+    @pytest.mark.parametrize("name", sorted(DISTRIBUTIONS))
+    def test_fixed_grids_with_infinite_bounds(self, name):
+        dist = self.DISTRIBUTIONS[name]
+        for grid in self.GRIDS[dist.k]:
+            tree = build_fixed_partition(grid)
+            assert np.isinf(tree.bounds).all()
+            got = dist.leaf_masses(tree)
+            assert got.tobytes() == reference_leaf_masses(tree, dist).tobytes()
+
+    def test_permuted_axes(self):
+        dist = MultivariateNormal.shifted(3, 0.1, 0.5)
+        tree = build_moving_partition(
+            dist.sample(2000, RngStream(21)), PartitionSpec(depth=2, branching=4, axis_order=(2, 0))
+        )
+        assert dist.leaf_masses(tree).tobytes() == reference_leaf_masses(tree, dist).tobytes()
+
+    def test_correlated_3d_within_qmc_error(self):
+        # scipy integrates d >= 3 by randomized QMC; one batched call per
+        # corner draws a different stream than one call per box
+        dist = MultivariateNormal.shifted(3, 0.1, 0.1)
+        tree = build_moving_partition(
+            dist.sample(2000, RngStream(22)), PartitionSpec(depth=3, branching=[3, 2, 2])
+        )
+        got = dist.leaf_masses(tree)
+        assert np.max(np.abs(got - reference_leaf_masses(tree, dist))) < 1e-4
 
 
 class TestMovingRisk:
@@ -265,6 +367,15 @@ class TestReproduceTable:
     def test_unknown_table(self):
         with pytest.raises(ValueError):
             reproduce_table(7)
+
+    @pytest.mark.parametrize("table_id", [5, 6])
+    def test_pairwise_k1_rejected_before_sampling(self, table_id, monkeypatch):
+        def sample(*args):
+            raise AssertionError("sampled before k was checked")
+
+        monkeypatch.setattr(MultivariateNormal, "sample", sample)
+        with pytest.raises(ValueError, match="pairwise scan needs k >= 2"):
+            reproduce_table(table_id, n2=1000, k=1)
 
 
 class TestPairwiseScan:

@@ -67,7 +67,7 @@ def ref_build_moving(sample, spec):
         values = values[np.argsort(values[:, axis], kind="stable")]
         col = values[:, axis]
         cuts = [n * j // bins for j in range(bins + 1)]
-        breaks = col[np.asarray(cuts[1:-1], dtype=int) - 1]
+        breaks = col[np.asarray(cuts[1:-1], dtype=int) - 1] + 0.0  # -0.0 written as 0.0
         if np.any(breaks == col[np.asarray(cuts[1:-1], dtype=int)]):
             defects.append((level, 1, path, axis))
         lo_bound, hi_bound = sample.bounds[axis]
@@ -321,6 +321,19 @@ def test_fixed_partition_matches_reference(grid, bounded, seed):
     assert_same(tree, ref, values)
     with pytest.raises(ValueError):
         model_pmf(tree)
+
+
+def test_zero_break_sign_independent_of_row_order():
+    # -0.0 == 0.0 under assign's rule, so which signed zero the selection
+    # lands on must not reach the breaks or the JSON
+    values = np.array([0.0, -0.0, 0.5, 0.0, -0.5, 0.5, 1.5, 1.0])[:, None]
+    spec = PartitionSpec(depth=1, branching=2)
+    rng = RngStream(10).generator()
+    for order in [np.arange(8), *(rng.permutation(8) for _ in range(20))]:
+        sample = Dataset(values[order])
+        assert_matches_reference(sample, spec, rng)
+        tree = build_moving_partition(sample, spec)
+        assert tree.breaks[0][0, 0] == 0.0 and not np.signbit(tree.breaks[0][0, 0])
 
 
 def test_fixed_axis_without_breakpoints():
