@@ -120,11 +120,12 @@ def pairwise_partitions(model: Dataset, branching: int) -> dict:
     if model.k < 2:
         raise ValueError("pairwise scan needs k >= 2")
     trees, fans = {}, (branching, branching)
+    columns = np.ascontiguousarray(model.values.T)  # one contiguous copy of every column
     for i in range(model.k - 1):
         rows, starts = np.arange(model.n), np.array([0, model.n])
-        root, rows, starts = _split_level(model.values, rows, starts, i, fans, 0)
+        root, rows, starts = _split_level(columns[i], rows, starts, i, fans, 0)
         for j in range(i + 1, model.k):
-            split, _, ends = _split_level(model.values, rows, starts, j, fans, 1)
+            split, _, ends = _split_level(columns[j], rows, starts, j, fans, 1)
             counts = tuple(np.diff(ends).tolist())
             trees[(i, j)] = PartitionTree(model.k, (i, j), model.bounds, (root, split), counts)
     return trees

@@ -50,8 +50,8 @@ class Dataset:
         for i, (lo, hi) in enumerate(bounds):
             if not lo < hi:
                 raise ValueError(f"axis {i}: bounds must satisfy lo < hi")
-            col = values[:, i]
-            if np.any(col <= lo) or np.any(col > hi):
+            col = values[:, i]  # finite: only a finite bound can exclude a value
+            if (np.isfinite(lo) and np.any(col <= lo)) or (np.isfinite(hi) and np.any(col > hi)):
                 raise ValueError(f"axis {i}: values outside support ({lo}, {hi}]")
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "bounds", tuple(bounds))
@@ -78,9 +78,7 @@ def load_dataset(path, bounds=None, delimiter: str = ",") -> Dataset:
     """
     text = Path(path).read_text()
     lines = text.splitlines()
-    # numpy strips \x1f around a number and float() does not (\x1c-\x1e,
-    # which numpy strips too, already end a line here)
-    values = None if "\x1f" in text else _parse_vectorized(lines, delimiter)
+    values = _parse_vectorized(text, lines, delimiter)
     if values is None:
         values = _parse_by_line(path, lines, delimiter)
     return Dataset(values, tuple(bounds) if bounds else ())
@@ -97,8 +95,8 @@ def _is_header(line, delimiter):
     return not any(numeric(cell) for cell in line.split(delimiter))
 
 
-def _parse_vectorized(lines, delimiter):
-    """The data rows as a finite float matrix, or None to defer to the line parse."""
+def _parse_vectorized(text, lines, delimiter):
+    """The data rows of ``text`` as a finite float matrix, or None to defer to the line parse."""
     first = next((i for i, line in enumerate(lines) if line.strip() != ""), None)
     if first is None:
         return None
@@ -106,6 +104,10 @@ def _parse_vectorized(lines, delimiter):
         first += 1
     # the line parse skips blank and whitespace-only lines; numpy would fail on them
     rows = [line for line in lines[first:] if line.strip() != ""]
+    # numpy strips \x1f around a number and float() does not (\x1c-\x1e,
+    # which numpy strips too, already end a line here)
+    if "\x1f" in text and any("\x1f" in row for row in rows):
+        return None
     # Lines, not a file: numpy would not break lines where str.splitlines does
     # (\x0b, \x0c, \x1c-\x1e, \x85, \u2028, \u2029).
     try:

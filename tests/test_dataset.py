@@ -64,6 +64,14 @@ class TestDatasetInvariants:
         with pytest.raises(ValueError):
             Dataset(np.array([[0.0]]), bounds=((0.0, 1.0),))
 
+    def test_one_sided_bounds(self):
+        Dataset(np.array([[1e308]]), bounds=((0.0, np.inf),))
+        with pytest.raises(ValueError, match="support"):
+            Dataset(np.array([[0.0]]), bounds=((0.0, np.inf),))
+        Dataset(np.array([[1.0]]), bounds=((-np.inf, 1.0),))
+        with pytest.raises(ValueError, match="support"):
+            Dataset(np.array([[np.nextafter(1.0, 2.0)]]), bounds=((-np.inf, 1.0),))
+
 
 class TestArCovariance:
     def test_geometric_decay_entries(self):

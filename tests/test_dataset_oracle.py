@@ -225,6 +225,9 @@ def test_splitlines_breaks_are_line_breaks(csv_path, text, cell):
         "1,2\n  \n3,4\n",
         "  \na,b\n\t\n1,2\n",
         "1,2\n\u3000\n3,4\n \t \n",
+        # \x1f outside the data rows: in the header, or on a whitespace-only line
+        "a\x1f,b\n1,2\n",
+        "\x1f\n1,2\n \x1f \n3,4\n",
     ],
 )
 def test_well_formed_input_skips_the_line_parse(csv_path, text, monkeypatch):

@@ -336,6 +336,17 @@ def test_zero_break_sign_independent_of_row_order():
         assert tree.breaks[0][0, 0] == 0.0 and not np.signbit(tree.breaks[0][0, 0])
 
 
+@pytest.mark.parametrize("fans", [(128, 256, 2), (129, 256, 2)])
+def test_child_ids_around_the_int16_limit(fans):
+    # level 1 has 2**15 children (int16 ids up to 32767), then 129 * 256 (intp ids)
+    values = RngStream(11).generator().standard_normal((math.prod(fans) + 500, 3))
+    sample, spec = Dataset(values), PartitionSpec(depth=3, branching=list(fans))
+    tree, ref = build_moving_partition(sample, spec), ref_build_moving(sample, spec)
+    assert ref[4] is None  # no atom: the build must equal the reference
+    assert [(l.index, l.path, l.intervals, l.count) for l in tree.leaves] == ref[1]
+    assert count_into_bins(tree, sample).tolist() == list(tree.counts)
+
+
 def test_fixed_axis_without_breakpoints():
     grid = [[0.0], [], [-1.0, 1.0]]
     tree = build_fixed_partition(grid)
