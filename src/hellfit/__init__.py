@@ -18,6 +18,7 @@ from hellfit.partition import (
     PartitionTree,
     build_fixed_partition,
     build_moving_partition,
+    pairwise_partitions,
 )
 from hellfit.bayes_threshold import (
     a_set_infimum,
@@ -33,7 +34,6 @@ from hellfit.criterion import (
     implied_epsilon,
     ks_two_sample,
     pairwise_marginal_scan,
-    pairwise_partitions,
     score_fitness,
 )
 
@@ -56,6 +56,7 @@ __all__ = [
     "PartitionTree",
     "build_fixed_partition",
     "build_moving_partition",
+    "pairwise_partitions",
     "a_set_infimum",
     "alpha_of_delta",
     "capital_delta_star",
@@ -67,7 +68,6 @@ __all__ = [
     "implied_epsilon",
     "ks_two_sample",
     "pairwise_marginal_scan",
-    "pairwise_partitions",
     "score_fitness",
 ]
 

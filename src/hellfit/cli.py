@@ -17,15 +17,15 @@ import sys
 import numpy as np
 
 from hellfit import bayes_threshold
-from hellfit.criterion import (
-    evaluate_fitness,
-    ks_two_sample,
-    pairwise_marginal_scan,
-    pairwise_partitions,
-)
+from hellfit.criterion import evaluate_fitness, ks_two_sample, pairwise_marginal_scan
 from hellfit.dataset import load_dataset
 from hellfit.divergence import generator_by_name
-from hellfit.partition import PartitionSpec, build_moving_partition, tree_to_json
+from hellfit.partition import (
+    PartitionSpec,
+    build_moving_partition,
+    pairwise_partitions,
+    tree_to_json,
+)
 
 
 def _epsilon_arg(text):

@@ -3,8 +3,8 @@ discretized samples, compared against the 8 eps^2 threshold.
 
 The partition is always built from the MODEL sample; the mother sample is
 only counted into its bins, so one built partition scores any number of
-mother samples (``score_fitness``).  The pairwise marginal scan is one
-depth-2 partition per coordinate pair, scored the same way.  The conclusion
+mother samples (``score_fitness``).  The pairwise marginal scan scores the
+depth-2 partition of every coordinate pair the same way.  The conclusion
 is one-sided: the verdict is "close" when the inequality holds and
 "not-shown-close" otherwise.
 """
@@ -23,7 +23,6 @@ from hellfit.divergence import hellinger
 from hellfit.partition import (
     PartitionSpec,
     PartitionTree,
-    _split_level,
     build_moving_partition,
     count_into_bins,
     free_param_count,
@@ -111,28 +110,8 @@ def score_fitness(tree: PartitionTree, mother: Dataset, epsilon: float) -> Fitne
     )
 
 
-def pairwise_partitions(model: Dataset, branching: int) -> dict:
-    """One depth-2 partition per coordinate pair (i, j), i < j, splitting i then j.
-
-    Each tree equals ``build_moving_partition`` with ``axis_order=(i, j)``;
-    axis i's root level is split once and shared by every pair (i, j).
-    """
-    if model.k < 2:
-        raise ValueError("pairwise scan needs k >= 2")
-    trees, fans = {}, (branching, branching)
-    columns = np.ascontiguousarray(model.values.T)  # one contiguous copy of every column
-    for i in range(model.k - 1):
-        rows, starts = np.arange(model.n), np.array([0, model.n])
-        root, rows, starts = _split_level(columns[i], rows, starts, i, fans, 0)
-        for j in range(i + 1, model.k):
-            split, _, ends = _split_level(columns[j], rows, starts, j, fans, 1)
-            counts = tuple(np.diff(ends).tolist())
-            trees[(i, j)] = PartitionTree(model.k, (i, j), model.bounds, (root, split), counts)
-    return trees
-
-
 def pairwise_marginal_scan(mother: Dataset, partitions: dict, epsilon: float):
-    """The criterion on every pair partition of ``pairwise_partitions``.
+    """The criterion on every pair partition of ``partition.pairwise_partitions``.
 
     Returns (matrix, reports): an upper-triangular matrix of left-hand-side
     values (nan elsewhere) and the per-pair FitnessReport objects.

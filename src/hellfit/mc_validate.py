@@ -32,8 +32,9 @@ from hellfit.partition import (
     count_into_bins,
     leaf_edges,
     model_pmf,
+    pairwise_partitions,
 )
-from hellfit.criterion import pairwise_marginal_scan, pairwise_partitions, score_fitness
+from hellfit.criterion import pairwise_marginal_scan, score_fitness
 
 
 class UniformCube:

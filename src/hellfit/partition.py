@@ -14,6 +14,13 @@ The children of region ``r`` are the regions ``r * fan + j`` of the next level,
 so one step per level, ``ids = ids * fan + #(breaks[ids] < x[axis])``, assigns
 a point to its leaf.
 
+A leaf's path is its child index at every level, and leaves are numbered in
+lexicographic path order, ``np.ndindex(*tree.fans)``.  ``leaf_edges`` reads
+every leaf's (lo, hi] per level from the level arrays; JSON documents are
+written from, and checked against, those arrays.  This module is the only one
+that knows how a partition is stored and split: ``build_moving_partition``
+and ``pairwise_partitions`` share the per-level split ``_split_level``.
+
 The moving build runs level by level on a permutation of the row indices,
 reading each split axis from a contiguous copy of its column.  Per region,
 ``np.partition`` calls with one index each select the order statistic just
@@ -32,7 +39,6 @@ position, so every leaf count equals a recount of the building sample.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 import json
 import math
 import numbers
@@ -86,22 +92,15 @@ class PartitionSpec:
         return level if self.axis_order is None else self.axis_order[level]
 
 
-@dataclass(frozen=True)
-class Leaf:
-    index: int
-    path: tuple[int, ...]
-    intervals: tuple[tuple[float, float], ...]  # one (lo, hi] per split step
-    count: int | None  # building-sample count; None for fixed grids
-
-
 @dataclass(frozen=True, eq=False)
 class PartitionTree:
     """Immutable nested-region partition stored level by level.
 
     ``breaks[level]`` is a ``(regions, fan - 1)`` array whose row ``r`` holds
     the sorted split points of region ``r`` of that level; ``counts`` holds the
-    building-sample count per leaf, or is None for fixed grids.  ``leaves`` is
-    a derived view in lexicographic order.
+    building-sample count per leaf, or is None for fixed grids.  Leaves are
+    numbered in lexicographic path order, ``np.ndindex(*fans)``, and
+    ``leaf_edges`` reads their intervals from the level arrays.
     """
 
     k: int
@@ -115,24 +114,12 @@ class PartitionTree:
         return len(self.axes)
 
     @property
-    def leaf_count(self) -> int:
-        return math.prod(level.shape[1] + 1 for level in self.breaks)
+    def fans(self) -> tuple[int, ...]:
+        return tuple(level.shape[1] + 1 for level in self.breaks)
 
-    @cached_property
-    def leaves(self) -> tuple[Leaf, ...]:
-        chains = [((), ())]
-        for axis, level in zip(self.axes, self.breaks):
-            lo, hi = self.bounds[axis]
-            chains = [
-                (path + (j,), intervals + (edge,))
-                for (path, intervals), b in zip(chains, level)
-                for j, edge in enumerate(zip([lo, *b], [*b, hi]))
-            ]
-        counts = self.counts or (None,) * len(chains)
-        return tuple(
-            Leaf(i, path, intervals, count)
-            for i, ((path, intervals), count) in enumerate(zip(chains, counts))
-        )
+    @property
+    def leaf_count(self) -> int:
+        return math.prod(self.fans)
 
 
 def leaf_edges(tree: PartitionTree) -> tuple[np.ndarray, np.ndarray]:
@@ -166,6 +153,26 @@ def build_moving_partition(model_sample: Dataset, spec: PartitionSpec) -> Partit
     return PartitionTree(model_sample.k, axes, model_sample.bounds, tuple(breaks), counts)
 
 
+def pairwise_partitions(model: Dataset, branching: int) -> dict:
+    """One depth-2 partition per coordinate pair (i, j), i < j, splitting i then j.
+
+    Each tree equals ``build_moving_partition`` with ``axis_order=(i, j)``;
+    axis i's root level is split once and shared by every pair (i, j).
+    """
+    if model.k < 2:
+        raise ValueError("pairwise scan needs k >= 2")
+    trees, fans = {}, (branching, branching)
+    columns = np.ascontiguousarray(model.values.T)  # one contiguous copy of every column
+    for i in range(model.k - 1):
+        rows, starts = np.arange(model.n), np.array([0, model.n])
+        root, rows, starts = _split_level(columns[i], rows, starts, i, fans, 0)
+        for j in range(i + 1, model.k):
+            split, _, ends = _split_level(columns[j], rows, starts, j, fans, 1)
+            counts = tuple(np.diff(ends).tolist())
+            trees[(i, j)] = PartitionTree(model.k, (i, j), model.bounds, (root, split), counts)
+    return trees
+
+
 def _split_level(column, rows, starts, axis, fans, level):
     """Split every region of ``level`` into ``fans[level]`` equal-count children on ``axis``.
 
@@ -177,7 +184,9 @@ def _split_level(column, rows, starts, axis, fans, level):
     starts.  Children are computed only where a level follows: child
     ``r * fan + j`` holds region ``r``'s rows in ``(break j - 1, break j]``,
     and a row's ``j`` is the number of breaks below its value, ``assign``'s
-    rule.  After the last level the rows are returned as they came.
+    rule.  After the last level the rows are returned as they came.  Each
+    region is selected in a copy, except at a last level below the root,
+    where ``column[rows]`` is a gather that nothing reads afterwards.
     """
     fan, sizes = fans[level], np.diff(starts)
     if np.any(sizes < fan):
@@ -187,9 +196,10 @@ def _split_level(column, rows, starts, axis, fans, level):
         )
     cuts = sizes[:, None] * np.arange(fan + 1) // fan  # child offsets per region
     col, breaks = column[rows] if level else column, np.empty((len(sizes), fan - 1))
+    in_place = level and level + 1 == len(fans)
     for r, (lo, hi) in enumerate(zip(starts[:-1], starts[1:])):
         below = cuts[r, 1:-1] - 1  # 0-indexed order statistics just below each cut
-        stats = _select(col[lo:hi].copy(), below)
+        stats = _select(col[lo:hi] if in_place else col[lo:hi].copy(), below)
         breaks[r] = stats[below] + 0.0  # a zero break is +0.0, whatever order its rows are in
         # the order statistic at a cut is the least value above the one just below it
         if np.any(stats[below] == np.minimum.reduceat(stats, below + 1)):
@@ -246,6 +256,8 @@ def build_fixed_partition(grid, bounds=None) -> PartitionTree:
 def assign(tree: PartitionTree, values) -> np.ndarray:
     """Leaf id of every row of values, the leaf whose (lo, hi] chain holds it."""
     values = np.asarray(values, dtype=float)
+    if values.shape[1] != tree.k:
+        raise ValueError(f"sample dimension {values.shape[1]} != tree dimension {tree.k}")
     ids = np.zeros(len(values), dtype=np.intp)
     for axis, level in zip(tree.axes, tree.breaks):
         ids = ids * (level.shape[1] + 1) + (level[ids] < values[:, axis, None]).sum(1)
@@ -259,8 +271,6 @@ def locate(tree: PartitionTree, point) -> int:
 
 def count_into_bins(tree: PartitionTree, sample: Dataset):
     """Vector of per-leaf row counts for the sample; sums to sample.n."""
-    if sample.k != tree.k:
-        raise ValueError(f"sample dimension {sample.k} != tree dimension {tree.k}")
     return np.bincount(assign(tree, sample.values), minlength=tree.leaf_count)
 
 
@@ -276,28 +286,24 @@ def free_param_count(tree: PartitionTree) -> int:
     return tree.leaf_count - 1
 
 
-def _endpoint_to_json(x: float):
-    if math.isinf(x):
-        return "inf" if x > 0 else "-inf"
-    return float(x)
+def _json_endpoints(x) -> list:
+    """``x`` as nested lists, each infinite endpoint written as "inf" or "-inf"."""
+    x = np.asarray(x, dtype=float)
+    return np.where(np.isinf(x), np.where(x > 0, "inf", "-inf"), x.astype(object)).tolist()
 
 
 def tree_to_json(tree: PartitionTree) -> str:
+    chains = _json_endpoints(np.stack(leaf_edges(tree), axis=-1).swapaxes(0, 1))
     doc = {
         "dimension": tree.k,
         "depth": tree.depth,
         "axes": list(tree.axes),
-        "bounds": [[_endpoint_to_json(lo), _endpoint_to_json(hi)] for lo, hi in tree.bounds],
+        "bounds": _json_endpoints(tree.bounds),
         "leaves": [
-            {
-                "path": list(leaf.path),
-                "intervals": [
-                    [_endpoint_to_json(lo), _endpoint_to_json(hi)]
-                    for lo, hi in leaf.intervals
-                ],
-                "count": leaf.count,
-            }
-            for leaf in tree.leaves
+            {"path": list(path), "intervals": chain, "count": count}
+            for path, chain, count in zip(
+                np.ndindex(*tree.fans), chains, tree.counts or [None] * len(chains)
+            )
         ],
     }
     return json.dumps(doc, indent=2)
@@ -307,32 +313,39 @@ def tree_from_json(text: str) -> PartitionTree:
     """Partition from ``tree_to_json`` output.
 
     Raises ValueError unless the document's leaves are exactly the
-    lexicographic leaves of the partition that their ``hi`` ends describe.
+    lexicographic leaves of the partition that their ``hi`` ends describe,
+    and either every count is an int >= 0 or every count is null.
     """
-    doc = json.loads(text)
-    axes, k, entries = tuple(doc["axes"]), doc["dimension"], doc["leaves"]
-    bounds = tuple((float(lo), float(hi)) for lo, hi in doc["bounds"])
-    paths = [tuple(entry["path"]) for entry in entries]
-    chains = [tuple((float(lo), float(hi)) for lo, hi in e["intervals"]) for e in entries]
-    counts = [entry["count"] for entry in entries]
-    depth = len(axes)
-    if doc["depth"] != depth or len(bounds) != k or not set(axes) <= set(range(k)):
-        raise ValueError("partition document axes do not match its depth and dimension")
-    if {(len(path), len(chain)) for path, chain in zip(paths, chains)} != {(depth, depth)}:
-        raise ValueError("partition document leaves need one interval per level")
-    fans = [max(path[level] for path in paths) + 1 for level in range(depth)]
-    if len(paths) != math.prod(fans):
-        raise ValueError("partition document leaf count is not the product of its fan-outs")
-    # level l: the hi end of the first leaf below each child of every region
-    his = np.array([[hi for _, hi in chain] for chain in chains])
-    breaks = tuple(
-        his[:, level].reshape(math.prod(fans[:level]), fan, -1)[:, :-1, 0]
-        for level, fan in enumerate(fans)
-    )
-    tree = PartitionTree(k, axes, bounds, breaks, None if None in counts else tuple(counts))
-    rebuilt = [(leaf.path, leaf.intervals, leaf.count) for leaf in tree.leaves]
-    if rebuilt != list(zip(paths, chains, counts)) or any(
-        np.any(np.diff(level) < 0) for level in tree.breaks
-    ):
-        raise ValueError("partition document leaves do not tile their regions")
+    try:
+        doc = json.loads(text)
+        axes, k, entries = tuple(doc["axes"]), doc["dimension"], doc["leaves"]
+        bounds = tuple((float(lo), float(hi)) for lo, hi in doc["bounds"])
+        paths = [tuple(entry["path"]) for entry in entries]
+        chains = [[(float(lo), float(hi)) for lo, hi in e["intervals"]] for e in entries]
+        counts = [entry["count"] for entry in entries]
+        depth = len(axes)
+        ints = all(type(i) is int for i in (k, doc["depth"], *axes))
+        if not ints or doc["depth"] != depth or len(bounds) != k or not set(axes) <= set(range(k)):
+            raise ValueError("partition document axes do not match its depth and dimension")
+        if counts != [None] * len(counts) and not all(type(c) is int and c >= 0 for c in counts):
+            raise ValueError("partition document counts must be ints >= 0, or all null")
+        if {(len(path), len(chain)) for path, chain in zip(paths, chains)} != {(depth, depth)}:
+            raise ValueError("partition document leaves need one interval per level")
+        fans = [max(path[level] for path in paths) + 1 for level in range(depth)]
+        if len(paths) != math.prod(fans):
+            raise ValueError("partition document leaf count is not the product of its fan-outs")
+        # level l: the hi end of the first leaf below each child of every region
+        his = np.array([[hi for _, hi in chain] for chain in chains])
+        breaks = tuple(
+            his[:, level].reshape(math.prod(fans[:level]), fan, -1)[:, :-1, 0]
+            for level, fan in enumerate(fans)
+        )
+        tree = PartitionTree(k, axes, bounds, breaks, None if None in counts else tuple(counts))
+        edges = np.stack(leaf_edges(tree), axis=-1).swapaxes(0, 1)
+        if paths != list(np.ndindex(*fans)) or not np.array_equal(chains, edges) or any(
+            np.any(np.diff(level) < 0) for level in breaks
+        ):
+            raise ValueError("partition document leaves do not tile their regions")
+    except (KeyError, TypeError) as err:
+        raise ValueError(f"malformed partition document: {err!r}") from None
     return tree

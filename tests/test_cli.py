@@ -431,6 +431,24 @@ class TestPairwise:
 
 # SHA-256 of small outputs, so that refactors keep results byte-identical
 GOLDEN_OUTPUTS = {
+    "fit": (
+        ["fit", "--mother", "{mother}", "--model", "{model}", "--depth", "3",
+         "--branching", "4", "--epsilon", "0.05"],
+        "d804f6781da29f739874ffcdc80d1a64a9dc3a5adb71d14765c30f6999601568",
+    ),
+    "partition": (
+        ["partition", "--model", "{model}", "--depth", "3", "--branching", "4"],
+        "ef86da92497b348adc08f616ae75285d48914c012e87c986a91b6330271591d5",
+    ),
+    "partition-bounded": (
+        ["partition", "--model", "{model}", "--depth", "2", "--branching", "3",
+         "--bounds=-6:6,-inf:inf,-8:7.5"],
+        "8e4404937303d1c403636698db07d09d58443480f089a9713607455f5efeeb84",
+    ),
+    "partition-per-level": (
+        ["partition", "--model", "{model}", "--depth", "3", "--branching", "4,3,2"],
+        "9f2c58e3e4b1fa47f67a5a1ba21d9e4fd59e91b3437af3a5b4feee0b3f4a3e29",
+    ),
     "pairwise": (
         ["pairwise", "--mother", "{mother}", "--model", "{model}", "--epsilon", "0.05"],
         "d4ecdd446d4115b255d9be53c0c43f24f4720cffdbab75da0f71fe607e482639",

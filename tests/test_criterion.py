@@ -11,7 +11,6 @@ from hellfit.criterion import (
     evaluate_fitness,
     implied_epsilon,
     ks_two_sample,
-    pairwise_partitions,
     score_fitness,
 )
 from hellfit.dataset import Dataset, RngStream, ar_covariance, sample_mvn
@@ -21,6 +20,7 @@ from hellfit.partition import (
     PartitionSpec,
     build_fixed_partition,
     build_moving_partition,
+    pairwise_partitions,
 )
 
 

@@ -1,0 +1,71 @@
+"""No module of the package reaches into another module's underscore-prefixed names.
+
+Each module's private helpers (``partition._split_level``, say) are its own
+contract; another module that needs one should get a public function instead.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "hellfit"
+
+
+def _private(name: str) -> bool:
+    return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+
+def _dotted(node):
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.Attribute):
+        base = _dotted(node.value)
+        return base and f"{base}.{node.attr}"
+    return None
+
+
+def private_imports(source: str) -> list[str]:
+    """Private names that ``source`` imports from, or reads off, a hellfit module."""
+    nodes = list(ast.walk(ast.parse(source)))
+    modules, found = set(), []  # modules: local names bound to hellfit modules
+    for node in nodes:
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.split(".")[0] == "hellfit":
+                    modules |= {alias.asname} if alias.asname else {alias.name, "hellfit"}
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if node.level or module.split(".")[0] == "hellfit":
+                for alias in node.names:
+                    if _private(alias.name):
+                        found.append(f"{module}.{alias.name}")
+                    elif module == "hellfit" or (node.level and not module):
+                        modules.add(alias.asname or alias.name)
+    for node in nodes:
+        if isinstance(node, ast.Attribute) and _private(node.attr):
+            if _dotted(node.value) in modules:
+                found.append(f"{_dotted(node.value)}.{node.attr}")
+    return found
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda path: path.name)
+def test_no_module_imports_another_modules_private_names(path):
+    assert private_imports(path.read_text()) == []
+
+
+@pytest.mark.parametrize(
+    "source, expected",
+    [
+        ("from hellfit.partition import _split_level", ["hellfit.partition._split_level"]),
+        ("from .partition import _path", ["partition._path"]),
+        ("from hellfit import partition\npartition._split_level(1)", ["partition._split_level"]),
+        ("from hellfit import partition as p\np._select(x, ks)", ["p._select"]),
+        ("import hellfit.partition\nhellfit.partition._path(0, ())", ["hellfit.partition._path"]),
+        ("from hellfit.partition import leaf_edges, tree_to_json", []),
+        ("from __future__ import annotations\nfrom hellfit import __version__", []),
+        ("import numpy as np\nnp._NoValue\nself._cache", []),
+    ],
+)
+def test_checker_flags_private_names(source, expected):
+    assert private_imports(source) == expected

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.stats import multivariate_normal, norm
 
-from hellfit.criterion import evaluate_fitness, pairwise_marginal_scan, pairwise_partitions
+from hellfit.criterion import evaluate_fitness, pairwise_marginal_scan
 from hellfit.dataset import Dataset, RngStream
 from hellfit.divergence import generator_by_name
 from hellfit.mc_validate import (
@@ -19,7 +19,13 @@ from hellfit.mc_validate import (
     reproduce_table,
     true_leaf_masses,
 )
-from hellfit.partition import PartitionSpec, build_fixed_partition, build_moving_partition
+from hellfit.partition import (
+    PartitionSpec,
+    build_fixed_partition,
+    build_moving_partition,
+    leaf_edges,
+    pairwise_partitions,
+)
 
 
 def grid_leaf_mass(dist, grid, path):
@@ -109,7 +115,9 @@ def reference_box_mass(dist, axes, box) -> float:
 
 
 def reference_leaf_masses(tree, dist) -> np.ndarray:
-    return np.array([reference_box_mass(dist, tree.axes, leaf.intervals) for leaf in tree.leaves])
+    lows, highs = (edges.T.tolist() for edges in leaf_edges(tree))
+    boxes = [list(zip(lo, hi)) for lo, hi in zip(lows, highs)]
+    return np.array([reference_box_mass(dist, tree.axes, box) for box in boxes])
 
 
 class TestLeafMassesDifferential:

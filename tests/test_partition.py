@@ -14,8 +14,10 @@ from hellfit.partition import (
     build_moving_partition,
     count_into_bins,
     free_param_count,
+    leaf_edges,
     locate,
     model_pmf,
+    pairwise_partitions,
     tree_from_json,
     tree_to_json,
 )
@@ -30,7 +32,8 @@ def eight_point_tree():
 class TestMovingPartition:
     def test_hand_worked_intervals(self, eight_point_tree):
         tree, _ = eight_point_tree
-        chains = [leaf.intervals[0] for leaf in tree.leaves]
+        lows, highs = leaf_edges(tree)
+        chains = list(zip(lows[0].tolist(), highs[0].tolist()))
         assert chains[0] == (-np.inf, 0.2)
         assert chains[1] == (0.2, 0.4)
         assert chains[2] == (0.4, 0.6)
@@ -38,7 +41,7 @@ class TestMovingPartition:
 
     def test_building_counts_are_index_differences(self, eight_point_tree):
         tree, _ = eight_point_tree
-        assert [leaf.count for leaf in tree.leaves] == [2, 2, 2, 2]
+        assert list(tree.counts) == [2, 2, 2, 2]
 
     def test_64_leaves_for_depth3_branching4(self):
         sample = Dataset(RngStream(0).generator().standard_normal((5000, 3)))
@@ -72,8 +75,25 @@ class TestMovingPartition:
             np.linspace(0.1, 0.9, 9).reshape(-1, 1), bounds=((0.0, 1.0),)
         )
         tree = build_moving_partition(sample, PartitionSpec(depth=1, branching=3))
-        assert tree.leaves[0].intervals[0][0] == 0.0
-        assert tree.leaves[-1].intervals[0][1] == 1.0
+        lows, highs = leaf_edges(tree)
+        assert lows[0, 0] == 0.0
+        assert highs[0, -1] == 1.0
+
+    @pytest.mark.parametrize(
+        "k, build",
+        [
+            (1, lambda sample: build_moving_partition(sample, PartitionSpec(1, 4))),
+            (2, lambda sample: build_moving_partition(sample, PartitionSpec(2, 4))),
+            (3, lambda sample: pairwise_partitions(sample, 4)),
+        ],
+        ids=["depth-1-on-k-1", "depth-2-on-k-2", "pairwise"],
+    )
+    def test_build_leaves_the_sample_untouched(self, k, build):
+        # the selection reorders values in place wherever nothing reads them afterwards
+        sample = Dataset(RngStream(12).generator().standard_normal((400, k)))
+        before = sample.values.tobytes()
+        build(sample)
+        assert sample.values.tobytes() == before
 
 
 class TestFixedPartition:
@@ -95,7 +115,7 @@ class TestFixedPartition:
 
     def test_counts_unset(self):
         tree = build_fixed_partition([[0.0]])
-        assert all(leaf.count is None for leaf in tree.leaves)
+        assert tree.counts is None
 
 
 class TestLocate:
@@ -108,12 +128,18 @@ class TestLocate:
         tree, _ = eight_point_tree
         assert locate(tree, [-1e9]) == 0
 
+    @pytest.mark.parametrize("point", [[0.1, 0.2, 99.0], [0.1]])
+    def test_point_of_another_dimension(self, point):
+        tree = build_fixed_partition([[0.0], [0.0]])
+        with pytest.raises(ValueError, match=f"sample dimension {len(point)} != tree dimension 2"):
+            locate(tree, point)
+
 
 class TestCounting:
     def test_self_consistency(self, eight_point_tree):
         tree, sample = eight_point_tree
         counts = count_into_bins(tree, sample)
-        assert counts.tolist() == [leaf.count for leaf in tree.leaves]
+        assert counts.tolist() == list(tree.counts)
 
     def test_all_mass_in_first_chain(self, eight_point_tree):
         tree, _ = eight_point_tree
@@ -169,14 +195,15 @@ class TestProperties:
     def test_interval_chains_tile_support(self):
         sample = Dataset(RngStream(4).generator().standard_normal((500, 2)))
         tree = build_moving_partition(sample, PartitionSpec(depth=2, branching=3))
+        lows, highs = leaf_edges(tree)
+        leaves = list(zip(np.ndindex(*tree.fans), lows[1], highs[1]))
         # group leaves by first-coordinate bin; second-level intervals must tile
         for first in range(3):
-            group = [l for l in tree.leaves if l.path[0] == first]
-            group.sort(key=lambda l: l.path[1])
-            assert np.isneginf(group[0].intervals[1][0])
-            assert np.isposinf(group[-1].intervals[1][1])
+            group = sorted((path[1], lo, hi) for path, lo, hi in leaves if path[0] == first)
+            assert np.isneginf(group[0][1])
+            assert np.isposinf(group[-1][2])
             for a, b in zip(group, group[1:]):
-                assert a.intervals[1][1] == b.intervals[1][0]
+                assert a[2] == b[1]
 
     def test_permutation_invariance(self):
         rng = RngStream(5).generator()
@@ -185,8 +212,9 @@ class TestProperties:
         t1 = build_moving_partition(Dataset(values), spec)
         shuffled = values[rng.permutation(200)]
         t2 = build_moving_partition(Dataset(shuffled), spec)
-        assert [l.intervals for l in t1.leaves] == [l.intervals for l in t2.leaves]
-        assert [l.count for l in t1.leaves] == [l.count for l in t2.leaves]
+        for a, b in zip(leaf_edges(t1), leaf_edges(t2)):
+            np.testing.assert_array_equal(a, b)
+        assert t1.counts == t2.counts
 
     @given(st.integers(0, 2**32 - 1), st.integers(2, 6))
     @settings(max_examples=30, deadline=None)
@@ -195,14 +223,14 @@ class TestProperties:
         n = int(rng.integers(branching * 2, 500))
         sample = Dataset(rng.standard_normal((n, 1)))
         tree = build_moving_partition(sample, PartitionSpec(depth=1, branching=branching))
-        counts = [l.count for l in tree.leaves]
+        counts = list(tree.counts)
         assert sum(counts) == n
         assert max(counts) - min(counts) <= 1  # depth 1: floor slack is 1
 
     def test_exact_equal_mass_when_divisible(self):
         sample = Dataset(RngStream(6).generator().standard_normal((4 * 4 * 9, 2)))
         tree = build_moving_partition(sample, PartitionSpec(depth=2, branching=4))
-        assert {l.count for l in tree.leaves} == {9}
+        assert set(tree.counts) == {9}
 
     def test_tied_values_deterministic(self):
         # 6 x 0.0 and 2 x 1.0 in 4 bins: 0.0 sits on both sides of the first cuts
@@ -239,13 +267,35 @@ class TestProperties:
         assert count_into_bins(tree, sample).tolist() == list(tree.counts)
 
 
+def with_first_count(doc, count):
+    """A partition document with its first leaf's count replaced."""
+    return {**doc, "leaves": [{**doc["leaves"][0], "count": count}, *doc["leaves"][1:]]}
+
+
+MALFORMED_DOCUMENTS = {
+    "empty-object": lambda doc: {},
+    "list": lambda doc: [doc],
+    "no-leaves": lambda doc: {key: value for key, value in doc.items() if key != "leaves"},
+    "no-intervals": lambda doc: {
+        **doc, "leaves": [{"path": l["path"], "count": l["count"]} for l in doc["leaves"]]
+    },
+    "axes-0": lambda doc: {**doc, "axes": 0},
+    "axes-float": lambda doc: {**doc, "axes": [0.0, 1.0]},
+    "count-1.5": lambda doc: with_first_count(doc, 1.5),
+    "count-true": lambda doc: with_first_count(doc, True),
+    "count-negative": lambda doc: with_first_count(doc, -1),
+    "one-count-null": lambda doc: with_first_count(doc, None),
+}
+
+
 class TestSerialization:
     def test_round_trip_lossless(self):
         sample = Dataset(RngStream(7).generator().standard_normal((100, 2)))
         tree = build_moving_partition(sample, PartitionSpec(depth=2, branching=3))
         again = tree_from_json(tree_to_json(tree))
-        assert [l.intervals for l in again.leaves] == [l.intervals for l in tree.leaves]
-        assert [l.count for l in again.leaves] == [l.count for l in tree.leaves]
+        for a, b in zip(leaf_edges(again), leaf_edges(tree)):
+            np.testing.assert_array_equal(a, b)
+        assert again.counts == tree.counts
         points = RngStream(8).generator().standard_normal((200, 2))
         for p in points:
             assert locate(tree, p) == locate(again, p)
@@ -256,13 +306,23 @@ class TestSerialization:
         text = tree_to_json(tree)
         assert '"-inf"' in text and '"inf"' in text
 
-    def assert_rejected(self, corrupt):
+    @staticmethod
+    def document():
         sample = Dataset(RngStream(9).generator().standard_normal((60, 2)))
         tree = build_moving_partition(sample, PartitionSpec(depth=2, branching=3))
-        doc = json.loads(tree_to_json(tree))
+        return json.loads(tree_to_json(tree))
+
+    def assert_rejected(self, corrupt):
+        doc = self.document()
         corrupt(doc["leaves"])
         with pytest.raises(ValueError, match="partition document"):
             tree_from_json(json.dumps(doc))
+
+    @pytest.mark.parametrize("case", list(MALFORMED_DOCUMENTS))
+    def test_malformed_document_rejected(self, case):
+        text = json.dumps(MALFORMED_DOCUMENTS[case](self.document()))
+        with pytest.raises(ValueError, match="partition document"):
+            tree_from_json(text)
 
     def test_duplicated_leaf_rejected(self):
         self.assert_rejected(lambda leaves: leaves.insert(1, leaves[0]))

@@ -23,6 +23,7 @@ from hellfit.partition import (
     build_fixed_partition,
     build_moving_partition,
     count_into_bins,
+    leaf_edges,
     locate,
     model_pmf,
     tree_from_json,
@@ -249,10 +250,21 @@ def _probe(rng, sample, leaves):
     return np.vstack([rng.standard_normal((50, sample.k)) * 2, sample.values, on_edges])
 
 
+def leaf_rows(tree):
+    """(index, path, intervals, count) of every leaf, read from the level arrays."""
+    lows, highs = (edges.T.tolist() for edges in leaf_edges(tree))
+    counts = tree.counts or [None] * tree.leaf_count
+    paths = np.ndindex(*tree.fans)
+    return [
+        (i, path, tuple(zip(lo, hi)), count)
+        for i, (path, lo, hi, count) in enumerate(zip(paths, lows, highs, counts))
+    ]
+
+
 def assert_same(tree, ref, values):
     root, leaves, axes, bounds = ref[:4]
     assert tree.axes == axes and tree.bounds == tuple(bounds)
-    assert [(l.index, l.path, l.intervals, l.count) for l in tree.leaves] == leaves
+    assert leaf_rows(tree) == leaves
     assert tree.leaf_count == len(leaves)
     np.testing.assert_array_equal(
         count_into_bins(tree, Dataset(values)), ref_count(root, len(leaves), values)
@@ -343,7 +355,7 @@ def test_child_ids_around_the_int16_limit(fans):
     sample, spec = Dataset(values), PartitionSpec(depth=3, branching=list(fans))
     tree, ref = build_moving_partition(sample, spec), ref_build_moving(sample, spec)
     assert ref[4] is None  # no atom: the build must equal the reference
-    assert [(l.index, l.path, l.intervals, l.count) for l in tree.leaves] == ref[1]
+    assert leaf_rows(tree) == ref[1]
     assert count_into_bins(tree, sample).tolist() == list(tree.counts)
 
 
