@@ -30,13 +30,19 @@ class RngStream:
 
 @dataclass(frozen=True)
 class Dataset:
-    """An n x k matrix of finite reals with per-axis half-open support (a, b]."""
+    """An n x k matrix of finite reals with per-axis half-open support (a, b].
+
+    ``values`` is column-major (Fortran order), so every column
+    ``values[:, axis]`` is a contiguous view: the partition builds, ``assign``
+    and the KS baseline read one coordinate at a time.  Column-major input is
+    used as given; row-major input is copied once.
+    """
 
     values: np.ndarray
     bounds: tuple[tuple[float, float], ...] = field(default=())
 
     def __post_init__(self):
-        values = np.asarray(self.values, dtype=float)
+        values = np.asfortranarray(self.values, dtype=float)
         if values.ndim != 2:
             raise ValueError("values must be a 2-d matrix")
         n, k = values.shape
@@ -158,7 +164,8 @@ def _parse_by_line(path, lines, delimiter):
 
 def save_dataset(dataset: Dataset, path) -> None:
     """Write values back as CSV, losslessly (shortest round-trip floats)."""
-    text = "\n".join([",".join(map(repr, row)) for row in dataset.values.tolist()])
+    reprs = map(repr, dataset.values.ravel().tolist())  # row after row
+    text = "\n".join(map(",".join, zip(*[reprs] * dataset.k)))  # k cells a line
     with open(path, "w") as fh:
         fh.write(text + "\n")
 
@@ -181,4 +188,6 @@ def sample_mvn(n: int, mean, cov, rng: RngStream) -> Dataset:
         raise ValueError("n must be >= 1")
     lower = np.linalg.cholesky(cov)  # raises LinAlgError if not SPD
     z = rng.generator().standard_normal((n, mean.size))
-    return Dataset(mean + z @ lower.T)
+    columns = lower @ z.T  # (k, n): the transpose is the column-major sample
+    columns += mean[:, None]
+    return Dataset(columns.T)

@@ -22,7 +22,7 @@ that knows how a partition is stored and split: ``build_moving_partition``
 and ``pairwise_partitions`` share the per-level split ``_split_level``.
 
 The moving build runs level by level on a permutation of the row indices,
-reading each split axis from a contiguous copy of its column.  Per region,
+reading each split axis from its column, a contiguous view.  Per region,
 ``np.partition`` calls with one index each select the order statistic just
 below every cut, which is the break; the one at the cut is the least value
 above it.  Where a level follows, each row's child is found by value with
@@ -146,7 +146,7 @@ def build_moving_partition(model_sample: Dataset, spec: PartitionSpec) -> Partit
         raise ValueError("axis_order references a missing coordinate")
     rows, starts, breaks = np.arange(model_sample.n), np.array([0, model_sample.n]), []
     for level, axis in enumerate(axes):
-        column = np.ascontiguousarray(model_sample.values[:, axis])
+        column = model_sample.values[:, axis]
         split, rows, starts = _split_level(column, rows, starts, axis, spec.branching, level)
         breaks.append(split)
     counts = tuple(np.diff(starts).tolist())
@@ -162,12 +162,11 @@ def pairwise_partitions(model: Dataset, branching: int) -> dict:
     if model.k < 2:
         raise ValueError("pairwise scan needs k >= 2")
     trees, fans = {}, (branching, branching)
-    columns = np.ascontiguousarray(model.values.T)  # one contiguous copy of every column
     for i in range(model.k - 1):
         rows, starts = np.arange(model.n), np.array([0, model.n])
-        root, rows, starts = _split_level(columns[i], rows, starts, i, fans, 0)
+        root, rows, starts = _split_level(model.values[:, i], rows, starts, i, fans, 0)
         for j in range(i + 1, model.k):
-            split, _, ends = _split_level(columns[j], rows, starts, j, fans, 1)
+            split, _, ends = _split_level(model.values[:, j], rows, starts, j, fans, 1)
             counts = tuple(np.diff(ends).tolist())
             trees[(i, j)] = PartitionTree(model.k, (i, j), model.bounds, (root, split), counts)
     return trees
@@ -176,17 +175,19 @@ def pairwise_partitions(model: Dataset, branching: int) -> dict:
 def _split_level(column, rows, starts, axis, fans, level):
     """Split every region of ``level`` into ``fans[level]`` equal-count children on ``axis``.
 
-    ``column`` is the sample's ``axis`` column, contiguous: a gather from it
-    is several times faster than one from the row-major matrix.  Region ``r``
-    owns ``rows[starts[r]:starts[r + 1]]``, and level 0 is one region holding
-    every row in order; ``fans`` holds the fan-out of every level.  Returns
+    ``column`` is the sample's ``axis`` column, a contiguous view of the
+    caller's data: a gather from it is several times faster than one across
+    the rows of a row-major matrix.  Region ``r`` owns
+    ``rows[starts[r]:starts[r + 1]]``, and level 0 is one region holding every
+    row in order; ``fans`` holds the fan-out of every level.  Returns
     the level's ``(regions, fan - 1)`` breaks and the next level's rows and
     starts.  Children are computed only where a level follows: child
     ``r * fan + j`` holds region ``r``'s rows in ``(break j - 1, break j]``,
     and a row's ``j`` is the number of breaks below its value, ``assign``'s
     rule.  After the last level the rows are returned as they came.  Each
-    region is selected in a copy, except at a last level below the root,
-    where ``column[rows]`` is a gather that nothing reads afterwards.
+    region is selected in a copy (at level 0 ``column`` itself is the caller's
+    data), except at a last level below the root, where ``column[rows]`` is a
+    gather that nothing reads afterwards.
     """
     fan, sizes = fans[level], np.diff(starts)
     if np.any(sizes < fan):
@@ -242,10 +243,10 @@ def build_fixed_partition(grid, bounds=None) -> PartitionTree:
     k = len(grid)
     if k < 1:
         raise ValueError("need breakpoints for at least one axis")
-    for i, g in enumerate(grid):
-        if g.size and np.any(np.diff(g) <= 0):
-            raise ValueError(f"axis {i}: breakpoints must be strictly increasing")
     bounds = tuple(bounds) if bounds else tuple((-np.inf, np.inf) for _ in range(k))
+    for i, (g, (lo, hi)) in enumerate(zip(grid, bounds, strict=True)):
+        if np.any(np.diff(g) <= 0) or not np.all((lo < g) & (g < hi)):
+            raise ValueError(f"axis {i}: breakpoints must be strictly increasing in ({lo}, {hi})")
     breaks, regions = [], 1
     for g in grid:
         breaks.append(np.tile(g, (regions, 1)))
@@ -256,6 +257,8 @@ def build_fixed_partition(grid, bounds=None) -> PartitionTree:
 def assign(tree: PartitionTree, values) -> np.ndarray:
     """Leaf id of every row of values, the leaf whose (lo, hi] chain holds it."""
     values = np.asarray(values, dtype=float)
+    if values.ndim != 2:
+        raise ValueError(f"values must be a 2-d matrix of rows, not shape {values.shape}")
     if values.shape[1] != tree.k:
         raise ValueError(f"sample dimension {values.shape[1]} != tree dimension {tree.k}")
     ids = np.zeros(len(values), dtype=np.intp)
@@ -266,7 +269,10 @@ def assign(tree: PartitionTree, values) -> np.ndarray:
 
 def locate(tree: PartitionTree, point) -> int:
     """Index of the unique leaf whose (lo, hi] interval chain contains point."""
-    return int(assign(tree, np.asarray(point, dtype=float)[None, :])[0])
+    point = np.asarray(point, dtype=float)
+    if point.ndim != 1:
+        raise ValueError(f"point of shape {point.shape} is not a vector of dimension {tree.k}")
+    return int(assign(tree, point[None, :])[0])
 
 
 def count_into_bins(tree: PartitionTree, sample: Dataset):
@@ -314,7 +320,8 @@ def tree_from_json(text: str) -> PartitionTree:
 
     Raises ValueError unless the document's leaves are exactly the
     lexicographic leaves of the partition that their ``hi`` ends describe,
-    and either every count is an int >= 0 or every count is null.
+    every interval (lo, hi] is non-empty, and either every count is an int
+    >= 0 or every count is null.
     """
     try:
         doc = json.loads(text)
@@ -342,8 +349,9 @@ def tree_from_json(text: str) -> PartitionTree:
         )
         tree = PartitionTree(k, axes, bounds, breaks, None if None in counts else tuple(counts))
         edges = np.stack(leaf_edges(tree), axis=-1).swapaxes(0, 1)
-        if paths != list(np.ndindex(*fans)) or not np.array_equal(chains, edges) or any(
-            np.any(np.diff(level) < 0) for level in breaks
+        # lo < hi everywhere: each region's breaks increase strictly inside its bounds
+        if paths != list(np.ndindex(*fans)) or not np.array_equal(chains, edges) or not np.all(
+            edges[..., 0] < edges[..., 1]
         ):
             raise ValueError("partition document leaves do not tile their regions")
     except (KeyError, TypeError) as err:

@@ -10,6 +10,7 @@ from hellfit.dataset import (
     sample_mvn,
     save_dataset,
 )
+from hellfit.mc_validate import UniformCube
 
 
 def write(tmp_path, text, name="data.csv"):
@@ -117,3 +118,42 @@ class TestSampleMvn:
         ds = sample_mvn(n, np.zeros(k), cov, RngStream(21))
         emp = np.cov(ds.values, rowvar=False)
         assert np.linalg.norm(emp - cov, "fro") < 10 * k / np.sqrt(n)
+
+    @pytest.mark.parametrize("k", range(1, 7))
+    @pytest.mark.parametrize("n", [1, 3, 10**4 + 7])
+    @pytest.mark.parametrize("family", ["identity", "ar", "shifted"])
+    def test_equals_the_row_major_formula(self, k, n, family):
+        # the sampler writes columns; its values are those of mean + z @ L.T, sign of zero included
+        mean, cov = {
+            "identity": (np.zeros(k), np.eye(k)),
+            "ar": (np.zeros(k), ar_covariance(k, 0.95)),
+            "shifted": (np.full(k, -0.1), np.eye(k) + 0.1 * ar_covariance(k, 0.95)),
+        }[family]
+        stream = RngStream(31, k)
+        z = stream.generator().standard_normal((n, k))
+        expected = mean + z @ np.linalg.cholesky(cov).T
+        values = sample_mvn(n, mean, cov, stream).values
+        assert np.array_equal(values, expected)
+        assert np.array_equal(np.signbit(values), np.signbit(expected))
+
+
+class TestLayout:
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda tmp_path: Dataset(np.arange(6.0).reshape(3, 2)),
+            lambda tmp_path: Dataset([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]]),
+            lambda tmp_path: load_dataset(write(tmp_path, "a,b\n1,2\n3,4\n5,6\n")),
+            lambda tmp_path: sample_mvn(50, np.zeros(3), np.eye(3), RngStream(1)),
+            lambda tmp_path: UniformCube(4).sample(50, RngStream(2)),
+        ],
+        ids=["c-array", "list", "load_dataset", "sample_mvn", "uniform-cube"],
+    )
+    def test_values_are_column_major(self, tmp_path, make):
+        values = make(tmp_path).values
+        assert values.flags.f_contiguous
+        assert all(values[:, axis].flags.c_contiguous for axis in range(values.shape[1]))
+
+    def test_column_major_input_is_not_copied(self):
+        values = np.asfortranarray(np.arange(6.0).reshape(3, 2))
+        assert Dataset(values).values is values

@@ -255,17 +255,21 @@ def written_bytes(writer, values, path):
     return path.read_bytes()
 
 
+PINNED_CSV = [
+    (
+        [[-0.0, 5e-324, 1e16], [1e-5, 1.7976931348623157e308, -1.7976931348623157e308]],
+        b"-0.0,5e-324,1e+16\n1e-05,1.7976931348623157e+308,-1.7976931348623157e+308\n",
+    ),
+    ([[-0.0], [2.5], [-1e-300]], b"-0.0\n2.5\n-1e-300\n"),  # one column
+    ([[-0.0]], b"-0.0\n"),
+]
+
+
 def test_writer_pinned_values(tmp_path):
-    values = [
-        [-0.0, 5e-324, 1e16],
-        [1e-5, 1.7976931348623157e308, -1.7976931348623157e308],
-    ]
-    new = written_bytes(save_dataset, values, tmp_path / "new.csv")
-    assert new == written_bytes(ref_save_dataset, values, tmp_path / "ref.csv")
-    assert new == (
-        b"-0.0,5e-324,1e+16\n"
-        b"1e-05,1.7976931348623157e+308,-1.7976931348623157e+308\n"
-    )
+    for values, text in PINNED_CSV:
+        new = written_bytes(save_dataset, values, tmp_path / "new.csv")
+        assert new == written_bytes(ref_save_dataset, values, tmp_path / "ref.csv")
+        assert new == text
 
 
 @given(

@@ -2,6 +2,10 @@
 
 Each module's private helpers (``partition._split_level``, say) are its own
 contract; another module that needs one should get a public function instead.
+
+Array layout has one owner as well: ``Dataset`` stores its values column-major,
+so only ``dataset.py`` converts layouts, and no other module copies a column
+to make it contiguous.
 """
 
 import ast
@@ -69,3 +73,40 @@ def test_no_module_imports_another_modules_private_names(path):
 )
 def test_checker_flags_private_names(source, expected):
     assert private_imports(source) == expected
+
+
+LAYOUT_FUNCTIONS = {"ascontiguousarray", "asfortranarray"}
+
+
+def layout_calls(source: str) -> list[str]:
+    """Calls in ``source`` that choose an array layout: the two numpy converters or ``order=``."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call):
+            name = node.func.attr if isinstance(node.func, ast.Attribute) else _dotted(node.func)
+            if name in LAYOUT_FUNCTIONS or any(kw.arg == "order" for kw in node.keywords):
+                found.append(f"{name}:{node.lineno}")
+    return found
+
+
+@pytest.mark.parametrize(
+    "path",
+    sorted(path for path in PACKAGE.glob("*.py") if path.name != "dataset.py"),
+    ids=lambda path: path.name,
+)
+def test_only_the_dataset_chooses_array_layout(path):
+    assert layout_calls(path.read_text()) == []
+
+
+@pytest.mark.parametrize(
+    "source, expected",
+    [
+        ("np.ascontiguousarray(values[:, 0])", ["ascontiguousarray:1"]),
+        ("from numpy import asfortranarray\nasfortranarray(x)", ["asfortranarray:2"]),
+        ("column = values[:, 0].copy(order='C')", ["copy:1"]),
+        ("x = np.array(rows, dtype=float, order='F')", ["array:1"]),
+        ("values[:, 0].copy()\nnp.asarray(x, dtype=float)\nx.order(1)", []),
+    ],
+)
+def test_checker_flags_layout_calls(source, expected):
+    assert layout_calls(source) == expected

@@ -10,6 +10,7 @@ from hellfit.partition import (
     CapacityError,
     DegeneratePartitionError,
     PartitionSpec,
+    assign,
     build_fixed_partition,
     build_moving_partition,
     count_into_bins,
@@ -117,6 +118,20 @@ class TestFixedPartition:
         tree = build_fixed_partition([[0.0]])
         assert tree.counts is None
 
+    @pytest.mark.parametrize(
+        "grid, bounds, axis",
+        [
+            ([[0.0]], [(1.0, 2.0)], 0),
+            ([[1.0]], [(1.0, 2.0)], 0),
+            ([[1.5, 2.0]], [(1.0, 2.0)], 0),
+            ([[0.0], [np.inf]], None, 1),
+            ([[0.0], [np.nan]], None, 1),
+        ],
+    )
+    def test_breakpoints_outside_the_bounds(self, grid, bounds, axis):
+        with pytest.raises(ValueError, match=f"axis {axis}: breakpoints must be strictly"):
+            build_fixed_partition(grid, bounds)
+
 
 class TestLocate:
     def test_boundary_belongs_to_lower_bin(self, eight_point_tree):
@@ -133,6 +148,17 @@ class TestLocate:
         tree = build_fixed_partition([[0.0], [0.0]])
         with pytest.raises(ValueError, match=f"sample dimension {len(point)} != tree dimension 2"):
             locate(tree, point)
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_scalar_point(self, k):
+        tree = build_fixed_partition([[0.0]] * k)
+        with pytest.raises(ValueError, match=rf"shape \(\) is not a vector of dimension {k}"):
+            locate(tree, 0.5)
+
+    def test_assign_needs_rows(self):
+        tree = build_fixed_partition([[0.0], [0.0]])
+        with pytest.raises(ValueError, match=r"2-d matrix of rows, not shape \(2,\)"):
+            assign(tree, np.array([0.5, 0.7]))
 
 
 class TestCounting:
@@ -335,6 +361,16 @@ class TestSerialization:
 
     def test_leaf_missing_a_level_rejected(self):
         self.assert_rejected(lambda leaves: leaves[2]["path"].pop())
+
+    @pytest.mark.parametrize("intervals", [[[1.0, 0.0], [0.0, 2.0]], [[1.0, 2.0], [2.0, 2.0]]])
+    def test_break_outside_the_bounds_rejected(self, intervals):
+        # leaf (1, 0] of the grid [[0.0]] on (1, 2], and a break at hi leaving (2, 2] empty
+        leaves = [
+            {"path": [j], "intervals": [chain], "count": None} for j, chain in enumerate(intervals)
+        ]
+        doc = {"dimension": 1, "depth": 1, "axes": [0], "bounds": [[1.0, 2.0]], "leaves": leaves}
+        with pytest.raises(ValueError, match="partition document leaves do not tile"):
+            tree_from_json(json.dumps(doc))
 
     def test_regions_with_different_fan_outs_rejected(self):
         # region 0 split in 2 and region 1 in 4: not one fan-out per level
