@@ -9,14 +9,12 @@ from hellfit.divergence import (
     f_divergence,
     generator_by_name,
     hellinger,
-    symmetrized_alpha,
 )
 from hellfit.partition import (
     CapacityError,
     DegeneratePartitionError,
     PartitionSpec,
     PartitionTree,
-    build_fixed_partition,
     build_moving_partition,
     pairwise_partitions,
 )
@@ -49,12 +47,10 @@ __all__ = [
     "f_divergence",
     "generator_by_name",
     "hellinger",
-    "symmetrized_alpha",
     "CapacityError",
     "DegeneratePartitionError",
     "PartitionSpec",
     "PartitionTree",
-    "build_fixed_partition",
     "build_moving_partition",
     "pairwise_partitions",
     "a_set_infimum",

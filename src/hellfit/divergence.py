@@ -1,14 +1,15 @@
 """f-divergences between discrete distributions.
 
-Generators follow the convention f(1) = f'(1) = 0, f''(1) = 1.  The
-one-parameter family
+Every generator is a member of the one-parameter family
 
     f_a(x) = 4/(1-a^2) (1 - x^((1+a)/2)) + 2/(1-a) (x-1)     a != +-1
     f_1(x) = x log x + 1 - x
     f_-1(x) = -log x + x - 1
 
-contains the Hellinger distance (a=0), the Kullback-Leibler pair (a=-1 gives
-KL(m1||m2), a=+1 the reverse) and the chi-square divergence (a=3).
+normalized so that f(1) = f'(1) = 0 and f''(1) = 1.  The family contains the
+Hellinger distance (a=0), the Kullback-Leibler pair (a=-1 gives KL(m1||m2),
+a=+1 the reverse) and the chi-square divergence (a=3), and it is closed under
+the dual x f(1/x), which maps a to -a.
 """
 
 from __future__ import annotations
@@ -18,83 +19,58 @@ import math
 
 import numpy as np
 
-_CHECK_GRID = np.logspace(-2, 2, 17)
+_POLE_GAP = 1e-6
 
 
 @dataclass(frozen=True)
 class DivergenceGenerator:
-    """A convex generator together with its boundary behaviour.
+    """The member f_alpha of the one-parameter family, with a report label.
 
-    ``at_zero`` is f(0) and ``slope_at_infinity`` is lim f(t)/t; both may be
-    +inf.  ``alpha`` is set when the generator belongs to the one-parameter
-    family, which gives closed-form higher derivatives at 1.
+    ``alpha`` is finite and either exactly +-1 or at least 1e-6 away from
+    +-1: just off +-1 the coefficients 4/(1-a^2) and 2/(1-a) cancel
+    catastrophically (at a = 1 - 3e-8 the Bayes-error threshold's Delta*
+    reads 1.6403 against 1.6487 at a = 1).
     """
 
-    evaluate: object  # callable, vectorized over positive reals
-    at_zero: float
-    slope_at_infinity: float
+    alpha: float
     label: str
-    alpha: float | None = None
 
     def __post_init__(self):
-        f = self.evaluate
-        if abs(float(f(1.0))) > 1e-9:
-            raise ValueError(f"{self.label}: f(1) must be 0")
-        h = 1e-5
-        d1 = (float(f(1 + h)) - float(f(1 - h))) / (2 * h)
-        if abs(d1) > 1e-6:
-            raise ValueError(f"{self.label}: f'(1) must be 0")
-        h = 1e-4
-        d2 = (float(f(1 + h)) - 2 * float(f(1.0)) + float(f(1 - h))) / h**2
-        if abs(d2 - 1.0) > 1e-6:
-            raise ValueError(f"{self.label}: f''(1) must be 1")
-        # convexity spot-check on a log-spaced grid
-        with np.errstate(all="ignore"):
-            vals = np.asarray(f(_CHECK_GRID), dtype=float)
-            mids = np.asarray(f(0.5 * (_CHECK_GRID[:-1] + _CHECK_GRID[1:])), dtype=float)
-        finite = np.isfinite(vals[:-1]) & np.isfinite(vals[1:]) & np.isfinite(mids)
-        if np.any(mids[finite] > 0.5 * (vals[:-1] + vals[1:])[finite] + 1e-9):
-            raise ValueError(f"{self.label}: generator is not convex")
+        a = self.alpha
+        if not math.isfinite(a * a) or (abs(a) != 1.0 and abs(abs(a) - 1.0) < _POLE_GAP):
+            raise ValueError(
+                f"{self.label}: alpha must be finite, and +-1 or at least {_POLE_GAP:g} "
+                f"from +-1, not {a!r}"
+            )
+
+    def evaluate(self, x):
+        """f_alpha(x), vectorized over x >= 0."""
+        a, x = self.alpha, np.asarray(x, dtype=float)
+        if a == 1.0:
+            with np.errstate(divide="ignore", invalid="ignore"):
+                out = np.where(x > 0, x * np.log(np.where(x > 0, x, 1.0)) + 1 - x, 1.0)
+        elif a == -1.0:
+            with np.errstate(divide="ignore"):
+                out = -np.log(x) + x - 1
+        else:
+            out = 4 / (1 - a**2) * (1 - x ** ((1 + a) / 2)) + 2 / (1 - a) * (x - 1)
+        return out if out.ndim else float(out)
+
+    @property
+    def at_zero(self) -> float:
+        """f(0); +inf for alpha <= -1."""
+        return 2 / (1 + self.alpha) if self.alpha > -1 else math.inf
+
+    @property
+    def slope_at_infinity(self) -> float:
+        """lim f(t)/t as t -> inf; +inf for alpha >= 1."""
+        return 2 / (1 - self.alpha) if self.alpha < 1 else math.inf
 
 
 def alpha_generator(alpha: float) -> DivergenceGenerator:
     """Member of the one-parameter divergence family."""
     alpha = float(alpha)
-    if alpha == 1.0:
-
-        def f(x):
-            x = np.asarray(x, dtype=float)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                out = np.where(x > 0, x * np.log(np.where(x > 0, x, 1.0)) + 1 - x, 1.0)
-            return out if out.ndim else float(out)
-
-    elif alpha == -1.0:
-
-        def f(x):
-            x = np.asarray(x, dtype=float)
-            with np.errstate(divide="ignore"):
-                out = -np.log(x) + x - 1
-            return out if out.ndim else float(out)
-
-    else:
-        c = (1 + alpha) / 2
-        a0 = 4 / (1 - alpha**2)
-        a1 = 2 / (1 - alpha)
-
-        def f(x):
-            x = np.asarray(x, dtype=float)
-            out = a0 * (1 - x**c) + a1 * (x - 1)
-            return out if out.ndim else float(out)
-
-    at_zero = 2 / (1 + alpha) if alpha > -1 else math.inf
-    slope = 2 / (1 - alpha) if alpha < 1 else math.inf
-    return DivergenceGenerator(
-        evaluate=f,
-        at_zero=at_zero,
-        slope_at_infinity=slope,
-        label=f"alpha:{alpha:g}",
-        alpha=alpha,
-    )
+    return DivergenceGenerator(alpha, f"alpha:{alpha:g}")
 
 
 _NAMED = {
@@ -108,10 +84,7 @@ _NAMED = {
 def generator_by_name(name: str) -> DivergenceGenerator:
     """Resolve "hellinger", "kl", "reverse-kl", "chi2" or "alpha:<value>"."""
     if name in _NAMED:
-        gen = alpha_generator(_NAMED[name])
-        return DivergenceGenerator(
-            gen.evaluate, gen.at_zero, gen.slope_at_infinity, name, gen.alpha
-        )
+        return DivergenceGenerator(_NAMED[name], name)
     if name.startswith("alpha:"):
         return alpha_generator(float(name.split(":", 1)[1]))
     raise ValueError(f"unknown generator {name!r}")
@@ -119,37 +92,7 @@ def generator_by_name(name: str) -> DivergenceGenerator:
 
 def dual_generator(f: DivergenceGenerator) -> DivergenceGenerator:
     """x -> x f(1/x); swaps the roles of the two distributions."""
-    if f.alpha is not None:
-        dual = alpha_generator(-f.alpha)
-        return DivergenceGenerator(
-            dual.evaluate, dual.at_zero, dual.slope_at_infinity,
-            f"dual({f.label})", dual.alpha,
-        )
-    base = f.evaluate
-
-    def g(x):
-        x = np.asarray(x, dtype=float)
-        out = x * np.asarray(base(1.0 / x), dtype=float)
-        return out if out.ndim else float(out)
-
-    return DivergenceGenerator(
-        evaluate=g,
-        at_zero=f.slope_at_infinity,
-        slope_at_infinity=f.at_zero,
-        label=f"dual({f.label})",
-    )
-
-
-def as_pmf(probs) -> np.ndarray:
-    """Validate a probability vector: non-negative, sums to 1 within 1e-12."""
-    probs = np.asarray(probs, dtype=float)
-    if probs.ndim != 1:
-        raise ValueError("probability vector must be 1-d")
-    if np.any(probs < 0):
-        raise ValueError("negative probability entry")
-    if abs(math.fsum(probs) - 1.0) > 1e-12:
-        raise ValueError("probabilities must sum to 1 within 1e-12")
-    return probs
+    return DivergenceGenerator(-f.alpha, f"dual({f.label})")
 
 
 def f_divergence(f: DivergenceGenerator, m1, m2) -> float:
@@ -188,27 +131,13 @@ def hellinger(m1, m2) -> float:
     return 2.0 * math.fsum(diffs * diffs)
 
 
-def symmetrized_alpha(alpha: float, m1, m2) -> float:
-    """Average of the alpha and -alpha divergences; symmetric in (m1, m2)."""
-    d1 = f_divergence(alpha_generator(alpha), m1, m2)
-    d2 = f_divergence(alpha_generator(-alpha), m1, m2)
-    return 0.5 * (d1 + d2)
-
-
 def derivatives_at_one(f: DivergenceGenerator) -> tuple[float, float]:
-    """(f'''(1), f''''(1)); closed form for the alpha family, else numeric."""
-    if f.alpha is not None:
-        a = f.alpha
-        if a == 1.0:
-            return -1.0, 2.0
-        if a == -1.0:
-            return -2.0, 6.0
-        c = (1 + a) / 2
-        coef = -4 / (1 - a**2)
-        return coef * c * (c - 1) * (c - 2), coef * c * (c - 1) * (c - 2) * (c - 3)
-    h = 2e-3
-    pts = np.array([-3, -2, -1, 0, 1, 2, 3], dtype=float) * h + 1.0
-    vals = np.asarray(f.evaluate(pts), dtype=float)
-    d3 = (vals[5] - 2 * vals[4] + 2 * vals[2] - vals[1]) / (2 * h**3)
-    d4 = (vals[5] - 4 * vals[4] + 6 * vals[3] - 4 * vals[2] + vals[1]) / h**4
-    return d3, d4
+    """(f'''(1), f''''(1)), in closed form."""
+    a = f.alpha
+    if a == 1.0:
+        return -1.0, 2.0
+    if a == -1.0:
+        return -2.0, 6.0
+    c = (1 + a) / 2
+    coef = -4 / (1 - a**2)
+    return coef * c * (c - 1) * (c - 2), coef * c * (c - 1) * (c - 2) * (c - 3)

@@ -10,7 +10,7 @@ replicate-index order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 import math
 
 import numpy as np
@@ -35,6 +35,8 @@ from hellfit.partition import (
     pairwise_partitions,
 )
 from hellfit.criterion import pairwise_marginal_scan, score_fitness
+
+_HELLINGER = alpha_generator(0.0)
 
 
 class UniformCube:
@@ -115,7 +117,6 @@ class ExperimentConfig:
     n: int
     replicates: int
     seed: int = 0
-    generator: DivergenceGenerator = field(default_factory=lambda: alpha_generator(0.0))
 
 
 @dataclass(frozen=True)
@@ -135,8 +136,8 @@ def _standard_error(values) -> float:
 
 
 def one_sample_risk_moving(config: ExperimentConfig) -> RiskEstimate:
-    """Mean divergence between true and equal-mass leaf masses over replicates
-    of sample-built partitions; the asymptotic prediction is p'/(2n)."""
+    """Mean Hellinger divergence between true and equal-mass leaf masses over
+    replicates of sample-built partitions; the asymptotic prediction is p'/(2n)."""
     dist = config.distribution
     if not hasattr(dist, "leaf_masses"):
         raise ValueError("moving-region risk needs a distribution with known masses")
@@ -149,7 +150,7 @@ def one_sample_risk_moving(config: ExperimentConfig) -> RiskEstimate:
         tree = build_moving_partition(sample, config.spec)
         truth = true_leaf_masses(tree, dist)
         equal = model_pmf(tree)
-        values[rep] = f_divergence(config.generator, truth, equal)
+        values[rep] = f_divergence(_HELLINGER, truth, equal)
         p_prime = free_param_count(tree)
     mean = float(np.mean(values))
     se = _standard_error(values)
@@ -172,12 +173,12 @@ def fixed_risk_prediction(f: DivergenceGenerator, true_m, n: int) -> float:
 
 
 def one_sample_risk_fixed(config: ExperimentConfig, true_m) -> RiskEstimate:
-    """Mean divergence between true and empirical multinomial frequencies on
-    fixed bins, against the two-term expansion."""
+    """Mean Hellinger divergence between true and empirical multinomial
+    frequencies on fixed bins, against the two-term expansion."""
     true_m = np.asarray(true_m, dtype=float)
     if np.any(true_m <= 0):
         raise ValueError("true bin masses must all be positive")
-    f = config.generator
+    f = _HELLINGER
     rng = RngStream(config.seed, 0).generator()
     counts = rng.multinomial(config.n, true_m, size=config.replicates)
     m_hat = counts / config.n

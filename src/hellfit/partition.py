@@ -98,16 +98,16 @@ class PartitionTree:
 
     ``breaks[level]`` is a ``(regions, fan - 1)`` array whose row ``r`` holds
     the sorted split points of region ``r`` of that level; ``counts`` holds the
-    building-sample count per leaf, or is None for fixed grids.  Leaves are
-    numbered in lexicographic path order, ``np.ndindex(*fans)``, and
-    ``leaf_edges`` reads their intervals from the level arrays.
+    building-sample count per leaf.  Leaves are numbered in lexicographic path
+    order, ``np.ndindex(*fans)``, and ``leaf_edges`` reads their intervals from
+    the level arrays.
     """
 
     k: int
     axes: tuple[int, ...]  # split axis per level
     bounds: tuple[tuple[float, float], ...]
     breaks: tuple[np.ndarray, ...]
-    counts: tuple[int, ...] | None
+    counts: tuple[int, ...]
 
     @property
     def depth(self) -> int:
@@ -237,23 +237,6 @@ def _path(region: int, shape) -> tuple[int, ...]:
     return tuple(map(int, np.unravel_index(region, shape)))
 
 
-def build_fixed_partition(grid, bounds=None) -> PartitionTree:
-    """Sample-independent product grid from per-axis sorted breakpoint lists."""
-    grid = [np.asarray(g, dtype=float) for g in grid]
-    k = len(grid)
-    if k < 1:
-        raise ValueError("need breakpoints for at least one axis")
-    bounds = tuple(bounds) if bounds else tuple((-np.inf, np.inf) for _ in range(k))
-    for i, (g, (lo, hi)) in enumerate(zip(grid, bounds, strict=True)):
-        if np.any(np.diff(g) <= 0) or not np.all((lo < g) & (g < hi)):
-            raise ValueError(f"axis {i}: breakpoints must be strictly increasing in ({lo}, {hi})")
-    breaks, regions = [], 1
-    for g in grid:
-        breaks.append(np.tile(g, (regions, 1)))
-        regions *= g.size + 1
-    return PartitionTree(k, tuple(range(k)), bounds, tuple(breaks), None)
-
-
 def assign(tree: PartitionTree, values) -> np.ndarray:
     """Leaf id of every row of values, the leaf whose (lo, hi] chain holds it."""
     values = np.asarray(values, dtype=float)
@@ -282,8 +265,6 @@ def count_into_bins(tree: PartitionTree, sample: Dataset):
 
 def model_pmf(tree: PartitionTree) -> np.ndarray:
     """Theoretical equal-mass leaf probabilities 1/(product of branchings)."""
-    if tree.counts is None:
-        raise ValueError("model_pmf requires a moving partition")
     return np.full(tree.leaf_count, 1.0 / tree.leaf_count)
 
 
@@ -307,9 +288,7 @@ def tree_to_json(tree: PartitionTree) -> str:
         "bounds": _json_endpoints(tree.bounds),
         "leaves": [
             {"path": list(path), "intervals": chain, "count": count}
-            for path, chain, count in zip(
-                np.ndindex(*tree.fans), chains, tree.counts or [None] * len(chains)
-            )
+            for path, chain, count in zip(np.ndindex(*tree.fans), chains, tree.counts)
         ],
     }
     return json.dumps(doc, indent=2)
@@ -320,8 +299,7 @@ def tree_from_json(text: str) -> PartitionTree:
 
     Raises ValueError unless the document's leaves are exactly the
     lexicographic leaves of the partition that their ``hi`` ends describe,
-    every interval (lo, hi] is non-empty, and either every count is an int
-    >= 0 or every count is null.
+    every interval (lo, hi] is non-empty, and every count is an int >= 0.
     """
     try:
         doc = json.loads(text)
@@ -334,8 +312,8 @@ def tree_from_json(text: str) -> PartitionTree:
         ints = all(type(i) is int for i in (k, doc["depth"], *axes))
         if not ints or doc["depth"] != depth or len(bounds) != k or not set(axes) <= set(range(k)):
             raise ValueError("partition document axes do not match its depth and dimension")
-        if counts != [None] * len(counts) and not all(type(c) is int and c >= 0 for c in counts):
-            raise ValueError("partition document counts must be ints >= 0, or all null")
+        if not all(type(c) is int and c >= 0 for c in counts):
+            raise ValueError("partition document counts must be ints >= 0")
         if {(len(path), len(chain)) for path, chain in zip(paths, chains)} != {(depth, depth)}:
             raise ValueError("partition document leaves need one interval per level")
         fans = [max(path[level] for path in paths) + 1 for level in range(depth)]
@@ -347,7 +325,7 @@ def tree_from_json(text: str) -> PartitionTree:
             his[:, level].reshape(math.prod(fans[:level]), fan, -1)[:, :-1, 0]
             for level, fan in enumerate(fans)
         )
-        tree = PartitionTree(k, axes, bounds, breaks, None if None in counts else tuple(counts))
+        tree = PartitionTree(k, axes, bounds, breaks, tuple(counts))
         edges = np.stack(leaf_edges(tree), axis=-1).swapaxes(0, 1)
         # lo < hi everywhere: each region's breaks increase strictly inside its bounds
         if paths != list(np.ndindex(*fans)) or not np.array_equal(chains, edges) or not np.all(

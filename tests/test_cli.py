@@ -272,6 +272,22 @@ class TestThreshold:
         assert code == 1
         assert "unknown generator" in err
 
+    @pytest.mark.parametrize("alpha", ["nan", "inf", "-inf", "1e300", "0.99999997"])
+    def test_alpha_outside_the_family_exit_1(self, capsys, alpha):
+        code, out, err = run_cli(
+            capsys, ["threshold", "--generator", f"alpha:{alpha}", "--epsilon", "0.05"]
+        )
+        assert code == 1 and out == ""
+        assert err.startswith("hellfit: error:")
+
+    @pytest.mark.parametrize("alpha", ["0.999", "100"])
+    def test_alpha_near_the_pole_or_large_accepted(self, capsys, alpha):
+        code, out, _ = run_cli(
+            capsys, ["threshold", "--generator", f"alpha:{alpha}", "--epsilon", "0.05"]
+        )
+        assert code == 0
+        assert 0 < json.loads(out)["alpha_of_delta"] <= 0.5
+
 
 class TestSimulate:
     def test_table1_small(self, capsys):
@@ -474,6 +490,58 @@ GOLDEN_OUTPUTS = {
         ["validate", "--theorem", "4", "--config", "shifted-normals",
          "--n1", "1000", "--n2", "20000", "--replicates", "10"],
         "8bad18b9a9fb2f0c2ab63b22085da65a857841ba2002824f98039d455e8426ad",
+    ),
+    "validate-theorem-2": (
+        ["validate", "--theorem", "2", "--n", "100", "--replicates", "2000"],
+        "ef210be1bf148261249e77869f39bd9f215fdf96d135c89dcdf11c56dba55146",
+    ),
+    "threshold-hellinger-epsilon": (
+        ["threshold", "--generator", "hellinger", "--epsilon", "0.05"],
+        "e4b39ebc8d80cefd67ad569fd9ce0c40a5f840312b0632dc50b9b0da8b5dacf2",
+    ),
+    "threshold-hellinger-delta": (
+        ["threshold", "--generator", "hellinger", "--delta", "0.3"],
+        "832e54efa81113e7faa4209765594d6f28b33feb1c03bba144119a58d2697ec4",
+    ),
+    "threshold-kl-epsilon": (
+        ["threshold", "--generator", "kl", "--epsilon", "0.05"],
+        "0817956dbef996e8a056206128cfe7992bd079b604b1e63d17e9dcc3012f60ef",
+    ),
+    "threshold-kl-delta": (
+        ["threshold", "--generator", "kl", "--delta", "0.3"],
+        "edba3caf10febbd38bb1b7c195639871b7714798bd8eb25a29e57f94d9726798",
+    ),
+    "threshold-reverse-kl-epsilon": (
+        ["threshold", "--generator", "reverse-kl", "--epsilon", "0.05"],
+        "29c8f231dc6623b943d687aeb661318dba5837f589c4b9cac76e14a164ab910f",
+    ),
+    "threshold-reverse-kl-delta": (
+        ["threshold", "--generator", "reverse-kl", "--delta", "0.3"],
+        "9586b95d16e165392884fc450cabe0ccdb728329aa1e54631c6ebfd0e5a774ec",
+    ),
+    "threshold-chi2-epsilon": (
+        ["threshold", "--generator", "chi2", "--epsilon", "0.05"],
+        "48f8a53aca82f075fd9bb52dfbc1e3db70479647505806638ecbcc9ee0cb21a7",
+    ),
+    "threshold-chi2-delta": (
+        ["threshold", "--generator", "chi2", "--delta", "0.3"],
+        "14ddedb80376d0e5e4d267208e42fdc5d5c738bf920345772a48f76a55dba558",
+    ),
+    "threshold-alpha-0.5-epsilon": (
+        ["threshold", "--generator", "alpha:0.5", "--epsilon", "0.05"],
+        "0ebf5b4e1a6a13752fa3079ede70de39a0822aaef40629f068e888ccfb8a0248",
+    ),
+    "threshold-alpha-0.5-delta": (
+        ["threshold", "--generator", "alpha:0.5", "--delta", "0.3"],
+        "97c41d0dc0100955107ce824b7f1b715dba86a63043aa1b2646b4067abe306da",
+    ),
+    "threshold-alpha-minus-3-epsilon": (
+        ["threshold", "--generator", "alpha:-3", "--epsilon", "0.05"],
+        "a96eb635412c98ebb32cc51aca5690511a92b1de9f482bab14bc64bfed0c8d37",
+    ),
+    "threshold-alpha-minus-3-delta": (
+        ["threshold", "--generator", "alpha:-3", "--delta", "0.3"],
+        "8237c4564e59859919ab5c8dc487f6a6adba503ecfba3ff6ac6657585d401e6d",
     ),
 }
 

@@ -18,7 +18,6 @@ from hellfit.partition import (
     CapacityError,
     DegeneratePartitionError,
     PartitionSpec,
-    build_fixed_partition,
     build_moving_partition,
     pairwise_partitions,
 )
@@ -180,12 +179,6 @@ class TestScoreFitness:
         )
         report = score_fitness(tree, Dataset(rng.standard_normal((100, 2))), 0.05)
         assert report.n2 == 4321
-
-    def test_fixed_grid_rejected(self):
-        tree = build_fixed_partition([[0.0], [0.0]])
-        mother = Dataset(RngStream(23).generator().standard_normal((100, 2)))
-        with pytest.raises(ValueError, match="moving partition"):
-            score_fitness(tree, mother, 0.05)
 
     @pytest.mark.parametrize("epsilon", [0.0, 0.5, -0.1])
     def test_epsilon_domain(self, epsilon):

@@ -21,16 +21,26 @@ from hellfit.mc_validate import (
 )
 from hellfit.partition import (
     PartitionSpec,
-    build_fixed_partition,
+    PartitionTree,
     build_moving_partition,
     leaf_edges,
     pairwise_partitions,
 )
 
 
+def grid_tree(grid):
+    """The unbounded product grid with these per-axis breakpoints, axis i split at level i."""
+    breaks, regions = [], 1
+    for g in grid:
+        breaks.append(np.tile(np.asarray(g, dtype=float), (regions, 1)))
+        regions *= len(g) + 1
+    k, bounds = len(grid), ((-np.inf, np.inf),) * len(grid)
+    return PartitionTree(k, tuple(range(k)), bounds, tuple(breaks), (0,) * regions)
+
+
 def grid_leaf_mass(dist, grid, path):
-    """Mass of the leaf at ``path`` of the fixed grid with these breakpoints."""
-    masses = dist.leaf_masses(build_fixed_partition(grid))
+    """Mass of the leaf at ``path`` of the product grid with these breakpoints."""
+    masses = dist.leaf_masses(grid_tree(grid))
     return masses[np.ravel_multi_index(path, [len(g) + 1 for g in grid])]
 
 
@@ -159,7 +169,7 @@ class TestLeafMassesDifferential:
     def test_fixed_grids_with_infinite_bounds(self, name):
         dist = self.DISTRIBUTIONS[name]
         for grid in self.GRIDS[dist.k]:
-            tree = build_fixed_partition(grid)
+            tree = grid_tree(grid)
             assert np.isinf(tree.bounds).all()
             got = dist.leaf_masses(tree)
             assert got.tobytes() == reference_leaf_masses(tree, dist).tobytes()

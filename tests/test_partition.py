@@ -10,8 +10,8 @@ from hellfit.partition import (
     CapacityError,
     DegeneratePartitionError,
     PartitionSpec,
+    PartitionTree,
     assign,
-    build_fixed_partition,
     build_moving_partition,
     count_into_bins,
     free_param_count,
@@ -28,6 +28,12 @@ from hellfit.partition import (
 def eight_point_tree():
     sample = Dataset(np.arange(0.1, 0.81, 0.1).reshape(-1, 1))
     return build_moving_partition(sample, PartitionSpec(depth=1, branching=4)), sample
+
+
+def orthants(k):
+    """The k-dimensional partition split once at 0 on every axis, built directly."""
+    breaks = tuple(np.zeros((2**level, 1)) for level in range(k))
+    return PartitionTree(k, tuple(range(k)), ((-np.inf, np.inf),) * k, breaks, (1,) * 2**k)
 
 
 class TestMovingPartition:
@@ -97,42 +103,6 @@ class TestMovingPartition:
         assert sample.values.tobytes() == before
 
 
-class TestFixedPartition:
-    def test_single_breakpoint(self):
-        tree = build_fixed_partition([[0.0]])
-        assert tree.leaf_count == 2
-        assert locate(tree, [0.0]) == 0
-        assert locate(tree, [1e-9]) == 1
-
-    def test_quadrants(self):
-        tree = build_fixed_partition([[0.0], [0.0]])
-        assert tree.leaf_count == 4
-        assert locate(tree, [-1, -1]) == 0
-        assert locate(tree, [1, 1]) == 3
-
-    def test_unsorted_breakpoints(self):
-        with pytest.raises(ValueError, match="strictly increasing"):
-            build_fixed_partition([[1.0, 1.0]])
-
-    def test_counts_unset(self):
-        tree = build_fixed_partition([[0.0]])
-        assert tree.counts is None
-
-    @pytest.mark.parametrize(
-        "grid, bounds, axis",
-        [
-            ([[0.0]], [(1.0, 2.0)], 0),
-            ([[1.0]], [(1.0, 2.0)], 0),
-            ([[1.5, 2.0]], [(1.0, 2.0)], 0),
-            ([[0.0], [np.inf]], None, 1),
-            ([[0.0], [np.nan]], None, 1),
-        ],
-    )
-    def test_breakpoints_outside_the_bounds(self, grid, bounds, axis):
-        with pytest.raises(ValueError, match=f"axis {axis}: breakpoints must be strictly"):
-            build_fixed_partition(grid, bounds)
-
-
 class TestLocate:
     def test_boundary_belongs_to_lower_bin(self, eight_point_tree):
         tree, _ = eight_point_tree
@@ -145,18 +115,18 @@ class TestLocate:
 
     @pytest.mark.parametrize("point", [[0.1, 0.2, 99.0], [0.1]])
     def test_point_of_another_dimension(self, point):
-        tree = build_fixed_partition([[0.0], [0.0]])
+        tree = orthants(2)
         with pytest.raises(ValueError, match=f"sample dimension {len(point)} != tree dimension 2"):
             locate(tree, point)
 
     @pytest.mark.parametrize("k", [1, 2])
     def test_scalar_point(self, k):
-        tree = build_fixed_partition([[0.0]] * k)
+        tree = orthants(k)
         with pytest.raises(ValueError, match=rf"shape \(\) is not a vector of dimension {k}"):
             locate(tree, 0.5)
 
     def test_assign_needs_rows(self):
-        tree = build_fixed_partition([[0.0], [0.0]])
+        tree = orthants(2)
         with pytest.raises(ValueError, match=r"2-d matrix of rows, not shape \(2,\)"):
             assign(tree, np.array([0.5, 0.7]))
 
@@ -190,11 +160,6 @@ class TestModelPmf:
         probs = model_pmf(tree)
         assert np.all(probs == 1 / 64)
         assert probs.sum() == 1.0
-
-    def test_fixed_tree_rejected(self):
-        tree = build_fixed_partition([[0.0]])
-        with pytest.raises(ValueError):
-            model_pmf(tree)
 
 
 class TestProperties:
@@ -311,6 +276,9 @@ MALFORMED_DOCUMENTS = {
     "count-true": lambda doc: with_first_count(doc, True),
     "count-negative": lambda doc: with_first_count(doc, -1),
     "one-count-null": lambda doc: with_first_count(doc, None),
+    "all-counts-null": lambda doc: {
+        **doc, "leaves": [{**leaf, "count": None} for leaf in doc["leaves"]]
+    },
 }
 
 
@@ -364,9 +332,9 @@ class TestSerialization:
 
     @pytest.mark.parametrize("intervals", [[[1.0, 0.0], [0.0, 2.0]], [[1.0, 2.0], [2.0, 2.0]]])
     def test_break_outside_the_bounds_rejected(self, intervals):
-        # leaf (1, 0] of the grid [[0.0]] on (1, 2], and a break at hi leaving (2, 2] empty
+        # leaf (1, 0] of a break at 0 on (1, 2], and a break at hi leaving (2, 2] empty
         leaves = [
-            {"path": [j], "intervals": [chain], "count": None} for j, chain in enumerate(intervals)
+            {"path": [j], "intervals": [chain], "count": 1} for j, chain in enumerate(intervals)
         ]
         doc = {"dimension": 1, "depth": 1, "axes": [0], "bounds": [[1.0, 2.0]], "leaves": leaves}
         with pytest.raises(ValueError, match="partition document leaves do not tile"):

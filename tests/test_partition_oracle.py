@@ -20,7 +20,6 @@ from hellfit.partition import (
     CapacityError,
     DegeneratePartitionError,
     PartitionSpec,
-    build_fixed_partition,
     build_moving_partition,
     count_into_bins,
     leaf_edges,
@@ -91,30 +90,6 @@ def expected_error(defect):
     if atom:
         return DegeneratePartitionError, rf"region {re.escape(str(path))}: .* axis {axis};"
     return CapacityError, rf"region {re.escape(str(path))}: \d+ building points"
-
-
-def ref_build_fixed(grid, bounds):
-    grid = [np.asarray(g, dtype=float) for g in grid]
-    k = len(grid)
-    bounds = tuple(bounds) if bounds else tuple((-np.inf, np.inf) for _ in range(k))
-    leaves = []
-
-    def build(path, intervals):
-        level = len(path)
-        if level == k:
-            leaves.append((len(leaves), path, tuple(intervals), None))
-            return _Node(leaf=leaves[-1])
-        breaks = grid[level]
-        lo_bound, hi_bound = bounds[level]
-        children = []
-        for j in range(breaks.size + 1):
-            lo = lo_bound if j == 0 else breaks[j - 1]
-            hi = hi_bound if j == breaks.size else breaks[j]
-            children.append(build(path + (j,), intervals + [(lo, hi)]))
-        return _Node(axis=level, breaks=breaks, children=children)
-
-    root = build((), [])
-    return root, leaves, tuple(range(k)), bounds
 
 
 def ref_locate(root, point):
@@ -253,11 +228,10 @@ def _probe(rng, sample, leaves):
 def leaf_rows(tree):
     """(index, path, intervals, count) of every leaf, read from the level arrays."""
     lows, highs = (edges.T.tolist() for edges in leaf_edges(tree))
-    counts = tree.counts or [None] * tree.leaf_count
     paths = np.ndindex(*tree.fans)
     return [
         (i, path, tuple(zip(lo, hi)), count)
-        for i, (path, lo, hi, count) in enumerate(zip(paths, lows, highs, counts))
+        for i, (path, lo, hi, count) in enumerate(zip(paths, lows, highs, tree.counts))
     ]
 
 
@@ -308,33 +282,6 @@ def test_edge_cases_match_reference(case):
     assert_matches_reference(*case)
 
 
-@given(
-    st.lists(
-        st.lists(st.integers(-8, 8), max_size=3, unique=True).map(sorted),
-        min_size=1,
-        max_size=3,
-    ),
-    st.booleans(),
-    st.integers(0, 2**32 - 1),
-)
-@settings(max_examples=80, deadline=None)
-def test_fixed_partition_matches_reference(grid, bounded, seed):
-    grid = [[g / 2 for g in axis] for axis in grid]
-    bounds = [(-5.0, 5.0)] * len(grid) if bounded else None
-    tree = build_fixed_partition(grid, bounds)
-    ref = ref_build_fixed(grid, bounds)
-    rng = RngStream(seed).generator()
-    values = np.vstack(
-        [
-            np.clip(rng.standard_normal((60, len(grid))) * 3, -4.9, 4.9),
-            np.round(rng.standard_normal((60, len(grid))) * 4) / 2,  # on the breaks
-        ]
-    )
-    assert_same(tree, ref, values)
-    with pytest.raises(ValueError):
-        model_pmf(tree)
-
-
 def test_zero_break_sign_independent_of_row_order():
     # -0.0 == 0.0 under assign's rule, so which signed zero the selection
     # lands on must not reach the breaks or the JSON
@@ -357,12 +304,3 @@ def test_child_ids_around_the_int16_limit(fans):
     assert ref[4] is None  # no atom: the build must equal the reference
     assert leaf_rows(tree) == ref[1]
     assert count_into_bins(tree, sample).tolist() == list(tree.counts)
-
-
-def test_fixed_axis_without_breakpoints():
-    grid = [[0.0], [], [-1.0, 1.0]]
-    tree = build_fixed_partition(grid)
-    ref = ref_build_fixed(grid, None)
-    values = RngStream(9).generator().standard_normal((300, 3))
-    assert tree.leaf_count == 6
-    assert_same(tree, ref, values)
