@@ -44,12 +44,13 @@ def capital_delta_star(f: DivergenceGenerator, delta: float) -> DeltaStarResult:
     """
     if delta <= 0:
         raise ValueError("delta must be > 0")
-    if math.isinf(f.at_zero):
+    f0 = f.evaluate(0.0)
+    if math.isinf(f0):
         return DeltaStarResult(1.0, False)
     from scipy.optimize import brentq  # imported here: the CLI loads this module on start
 
     def g(d):
-        return float(f.evaluate(d)) / d + (1 - 1 / d) * f.at_zero - delta
+        return float(f.evaluate(d)) / d + (1 - 1 / d) * f0 - delta
 
     lo, hi = 1.0, 2.0
     glo = g(lo)
@@ -67,14 +68,10 @@ def _boundary_curve(f: DivergenceGenerator, x, t):
     """x f((1-2t)/x + 1) + (1-x) f((2t-x)/(1-x)), vectorized."""
     x = np.asarray(x, dtype=float)
     t = np.asarray(t, dtype=float)
-    first = np.asarray(f.evaluate((1 - 2 * t) / x + 1), dtype=float)
+    first = f.evaluate((1 - 2 * t) / x + 1)
     second_arg = (2 * t - x) / (1 - x)
     with np.errstate(all="ignore"):
-        second = np.where(
-            second_arg > 0,
-            np.asarray(f.evaluate(np.maximum(second_arg, 1e-300)), dtype=float),
-            f.at_zero,
-        )
+        second = f.evaluate(np.maximum(second_arg, 0.0))
     return x * first + (1 - x) * second
 
 

@@ -96,7 +96,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sim = sub.add_parser("simulate", help="reproduce a simulation table")
     sim.add_argument("--table", type=int, choices=range(1, 7), required=True)
-    sim.add_argument("--n1", type=_positive_int_arg, nargs="+")
+    sim.add_argument("--n1", type=_positive_int_arg, nargs="+", help="tables 1-4 only")
     sim.add_argument("--n2", type=_positive_int_arg, default=10**7)
     sim.add_argument("--k", type=_positive_int_arg)
     sim.add_argument("--branching", type=_fan_arg, default=4)
@@ -105,16 +105,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     val = sub.add_parser("validate", help="Monte Carlo check of a risk theorem")
     val.add_argument("--theorem", type=int, choices=[2, 3, 4], required=True)
-    val.add_argument("--n", type=_positive_int_arg)
-    val.add_argument("--n1", type=_positive_int_arg, default=10**3)
-    val.add_argument("--n2", type=_positive_int_arg, default=10**5)
+    val.add_argument("--n", type=_positive_int_arg, help="theorems 2 and 3 only")
+    val.add_argument("--n1", type=_positive_int_arg, help="theorem 4 only (default 1000)")
+    val.add_argument("--n2", type=_positive_int_arg, help="theorem 4 only (default 100000)")
     val.add_argument("--replicates", type=_positive_int_arg)
     val.add_argument("--seed", type=int, default=0)
     val.add_argument(
         "--config",
         choices=["identical-normals", "shifted-normals"],
-        default="identical-normals",
-        help="mother/model pair for the theorem-4 bound",
+        help="mother/model pair for the theorem-4 bound (default identical-normals)",
     )
 
     part = sub.add_parser("partition", help="build and dump a moving partition")
@@ -222,28 +221,23 @@ def _run_validate(args):
     from hellfit import mc_validate
 
     if args.theorem == 3:
-        config = mc_validate.ExperimentConfig(
-            distribution=mc_validate.UniformCube(1),
-            spec=PartitionSpec(depth=1, branching=4),
-            n=args.n or 1000,
-            replicates=args.replicates or 2000,
-            seed=args.seed,
+        est = mc_validate.one_sample_risk_moving(
+            mc_validate.UniformCube(1),
+            PartitionSpec(depth=1, branching=4),
+            args.n or 1000,
+            args.replicates or 2000,
+            args.seed,
         )
-        est = mc_validate.one_sample_risk_moving(config)
         payload = {"theorem": 3, **est.__dict__}
     elif args.theorem == 2:
         true_m = [0.25, 0.25, 0.25, 0.25]
-        config = mc_validate.ExperimentConfig(
-            distribution=None,
-            spec=PartitionSpec(depth=1, branching=4),
-            n=args.n or 100,
-            replicates=args.replicates or 10**5,
-            seed=args.seed,
+        est = mc_validate.one_sample_risk_fixed(
+            true_m, args.n or 100, args.replicates or 10**5, args.seed
         )
-        est = mc_validate.one_sample_risk_fixed(config, true_m)
         payload = {"theorem": 2, "true_m": true_m, **est.__dict__}
     else:
-        if args.config == "identical-normals":
+        config = args.config or "identical-normals"
+        if config == "identical-normals":
             mother = mc_validate.MultivariateNormal([0.0], [[1.0]])
             model = mc_validate.MultivariateNormal([0.0], [[1.0]])
             spec = PartitionSpec(depth=1, branching=4)
@@ -255,12 +249,12 @@ def _run_validate(args):
             mother,
             model,
             spec,
-            n1=args.n1,
-            n2=args.n2,
+            n1=args.n1 or 10**3,
+            n2=args.n2 or 10**5,
             replicates=args.replicates or 500,
             seed=args.seed,
         )
-        payload = {"theorem": 4, "config": args.config, **report.__dict__}
+        payload = {"theorem": 4, "config": config, **report.__dict__}
     _emit(args, payload)
 
 
@@ -289,6 +283,22 @@ def _run_pairwise(args):
     _emit(args, payload)
 
 
+def _unread_flag(args):
+    """The usage error for a flag given to a table or theorem that never reads
+    it, or None."""
+    if args.command == "simulate" and args.table >= 5:
+        mode, unread = f"table {args.table}", ("n1",)
+    elif args.command == "validate":
+        mode = f"theorem {args.theorem}"
+        unread = ("n",) if args.theorem == 4 else ("n1", "n2", "config")
+    else:
+        return None
+    for name in unread:
+        if getattr(args, name) is not None:
+            return f"argument --{name}: not read by {mode}"
+    return None
+
+
 # each command's runner and the --format values it can write
 _RUNNERS = {
     "fit": (_run_fit, ("json", "pretty")),
@@ -311,6 +321,9 @@ def run(argv=None) -> int:
         )
     if args.command == "simulate" and args.table >= 5 and args.k is not None and args.k < 2:
         parser.error("argument --k: tables 5 and 6 scan coordinate pairs and need k >= 2")
+    unread = _unread_flag(args)
+    if unread:
+        parser.error(unread)
     try:
         runner(args)
     except (OSError, ValueError, np.linalg.LinAlgError) as exc:

@@ -10,6 +10,11 @@ normalized so that f(1) = f'(1) = 0 and f''(1) = 1.  The family contains the
 Hellinger distance (a=0), the Kullback-Leibler pair (a=-1 gives KL(m1||m2),
 a=+1 the reverse) and the chi-square divergence (a=3), and it is closed under
 the dual x f(1/x), which maps a to -a.
+
+The zero-bin conventions live here and nowhere else: f(0) is ``at_zero``, and
+``evaluate`` returns exactly that value at x = 0, so a bin with m2 = 0
+contributes m1 f(0) through the ordinary formula; a bin with m1 = 0
+contributes m2 ``slope_at_infinity`` (lim f(t)/t) in ``f_divergence``.
 """
 
 from __future__ import annotations
@@ -44,16 +49,17 @@ class DivergenceGenerator:
             )
 
     def evaluate(self, x):
-        """f_alpha(x), vectorized over x >= 0."""
+        """f_alpha(x), vectorized over x >= 0; exactly ``at_zero`` at x = 0."""
         a, x = self.alpha, np.asarray(x, dtype=float)
+        zero = x == 0
+        x = np.where(zero, 1.0, x)  # any point of the domain; replaced by f(0) below
         if a == 1.0:
-            with np.errstate(divide="ignore", invalid="ignore"):
-                out = np.where(x > 0, x * np.log(np.where(x > 0, x, 1.0)) + 1 - x, 1.0)
+            out = x * np.log(x) + 1 - x
         elif a == -1.0:
-            with np.errstate(divide="ignore"):
-                out = -np.log(x) + x - 1
+            out = -np.log(x) + x - 1
         else:
             out = 4 / (1 - a**2) * (1 - x ** ((1 + a) / 2)) + 2 / (1 - a) * (x - 1)
+        out = np.where(zero, self.at_zero, out)
         return out if out.ndim else float(out)
 
     @property
@@ -70,7 +76,7 @@ class DivergenceGenerator:
 def alpha_generator(alpha: float) -> DivergenceGenerator:
     """Member of the one-parameter divergence family."""
     alpha = float(alpha)
-    return DivergenceGenerator(alpha, f"alpha:{alpha:g}")
+    return DivergenceGenerator(alpha, f"alpha:{alpha!r}")
 
 
 _NAMED = {
@@ -82,12 +88,15 @@ _NAMED = {
 
 
 def generator_by_name(name: str) -> DivergenceGenerator:
-    """Resolve "hellinger", "kl", "reverse-kl", "chi2" or "alpha:<value>"."""
+    """Resolve "hellinger", "kl", "reverse-kl", "chi2" or "alpha:<value>",
+    labelled with the name as given."""
     if name in _NAMED:
-        return DivergenceGenerator(_NAMED[name], name)
-    if name.startswith("alpha:"):
-        return alpha_generator(float(name.split(":", 1)[1]))
-    raise ValueError(f"unknown generator {name!r}")
+        alpha = _NAMED[name]
+    elif name.startswith("alpha:"):
+        alpha = float(name.split(":", 1)[1])
+    else:
+        raise ValueError(f"unknown generator {name!r}")
+    return DivergenceGenerator(alpha, name)
 
 
 def dual_generator(f: DivergenceGenerator) -> DivergenceGenerator:
@@ -98,26 +107,20 @@ def dual_generator(f: DivergenceGenerator) -> DivergenceGenerator:
 def f_divergence(f: DivergenceGenerator, m1, m2) -> float:
     """sum_i m1_i f(m2_i / m1_i) with the standard zero-bin conventions.
 
-    m1_i = 0 contributes m2_i * slope_at_infinity (0 when m2_i = 0 too);
-    m2_i = 0 with m1_i > 0 contributes m1_i * f(0).
+    m1_i = 0 contributes m2_i * slope_at_infinity (nothing when m2_i = 0 too);
+    m2_i = 0 with m1_i > 0 contributes m1_i * f(0).  The terms are summed in
+    bin order with ``math.fsum``; the result is inf when any term is.
     """
     m1 = np.asarray(m1, dtype=float)
     m2 = np.asarray(m2, dtype=float)
     if m1.shape != m2.shape:
         raise ValueError("probability vectors must have equal length")
-    terms = []
-    for a, b in zip(m1, m2):
-        if a == 0.0:
-            if b == 0.0:
-                continue
-            term = b * f.slope_at_infinity
-        elif b == 0.0:
-            term = a * f.at_zero
-        else:
-            term = a * float(f.evaluate(b / a))
-        if math.isinf(term):
-            return math.inf
-        terms.append(term)
+    occupied = (m1 != 0) | (m2 != 0)
+    m1, m2 = m1[occupied], m2[occupied]
+    with np.errstate(divide="ignore", invalid="ignore"):  # m1 = 0 terms are replaced
+        terms = np.where(m1 == 0, m2 * f.slope_at_infinity, m1 * f.evaluate(m2 / m1))
+    if np.isinf(terms).any():
+        return math.inf
     return math.fsum(terms)
 
 

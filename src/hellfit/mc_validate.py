@@ -34,7 +34,7 @@ from hellfit.partition import (
     model_pmf,
     pairwise_partitions,
 )
-from hellfit.criterion import pairwise_marginal_scan, score_fitness
+from hellfit.criterion import bias_correction, pairwise_marginal_scan, score_fitness
 
 _HELLINGER = alpha_generator(0.0)
 
@@ -111,15 +111,6 @@ def true_leaf_masses(tree: PartitionTree, dist) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class ExperimentConfig:
-    distribution: object
-    spec: PartitionSpec
-    n: int
-    replicates: int
-    seed: int = 0
-
-
-@dataclass(frozen=True)
 class RiskEstimate:
     mean: float
     standard_error: float
@@ -135,27 +126,28 @@ def _standard_error(values) -> float:
     return float(np.std(values, ddof=1) / math.sqrt(len(values)))
 
 
-def one_sample_risk_moving(config: ExperimentConfig) -> RiskEstimate:
+def one_sample_risk_moving(
+    distribution, spec: PartitionSpec, n: int, replicates: int, seed: int = 0
+) -> RiskEstimate:
     """Mean Hellinger divergence between true and equal-mass leaf masses over
     replicates of sample-built partitions; the asymptotic prediction is p'/(2n)."""
-    dist = config.distribution
-    if not hasattr(dist, "leaf_masses"):
+    if not hasattr(distribution, "leaf_masses"):
         raise ValueError("moving-region risk needs a distribution with known masses")
-    if config.replicates < 1:
+    if replicates < 1:
         raise ValueError("replicates must be >= 1")
-    values = np.empty(config.replicates)
+    values = np.empty(replicates)
     p_prime = None
-    for rep in range(config.replicates):
-        sample = dist.sample(config.n, RngStream(config.seed, rep))
-        tree = build_moving_partition(sample, config.spec)
-        truth = true_leaf_masses(tree, dist)
+    for rep in range(replicates):
+        sample = distribution.sample(n, RngStream(seed, rep))
+        tree = build_moving_partition(sample, spec)
+        truth = true_leaf_masses(tree, distribution)
         equal = model_pmf(tree)
         values[rep] = f_divergence(_HELLINGER, truth, equal)
         p_prime = free_param_count(tree)
     mean = float(np.mean(values))
     se = _standard_error(values)
-    prediction = p_prime / (2.0 * config.n)
-    return RiskEstimate(mean, se, config.replicates, prediction, mean / prediction)
+    prediction = p_prime / (2.0 * n)
+    return RiskEstimate(mean, se, replicates, prediction, mean / prediction)
 
 
 def fixed_risk_prediction(f: DivergenceGenerator, true_m, n: int) -> float:
@@ -172,25 +164,16 @@ def fixed_risk_prediction(f: DivergenceGenerator, true_m, n: int) -> float:
     return p_prime / (2.0 * n) + second
 
 
-def one_sample_risk_fixed(config: ExperimentConfig, true_m) -> RiskEstimate:
+def one_sample_risk_fixed(true_m, n: int, replicates: int, seed: int = 0) -> RiskEstimate:
     """Mean Hellinger divergence between true and empirical multinomial
     frequencies on fixed bins, against the two-term expansion."""
     true_m = np.asarray(true_m, dtype=float)
-    if np.any(true_m <= 0):
-        raise ValueError("true bin masses must all be positive")
-    f = _HELLINGER
-    rng = RngStream(config.seed, 0).generator()
-    counts = rng.multinomial(config.n, true_m, size=config.replicates)
-    m_hat = counts / config.n
-    ratios = m_hat / true_m
-    with np.errstate(divide="ignore", invalid="ignore"):
-        terms = true_m * np.asarray(f.evaluate(ratios), dtype=float)
-    terms = np.where(m_hat == 0, true_m * f.at_zero, terms)
-    values = terms.sum(axis=1)
+    prediction = fixed_risk_prediction(_HELLINGER, true_m, n)  # rejects empty bins first
+    counts = RngStream(seed, 0).generator().multinomial(n, true_m, size=replicates)
+    values = (true_m * _HELLINGER.evaluate(counts / n / true_m)).sum(axis=1)
     mean = float(np.mean(values))
     se = _standard_error(values)
-    prediction = fixed_risk_prediction(f, true_m, config.n)
-    return RiskEstimate(mean, se, config.replicates, prediction, mean / prediction)
+    return RiskEstimate(mean, se, replicates, prediction, mean / prediction)
 
 
 @dataclass(frozen=True)
@@ -235,7 +218,7 @@ def bias_bound_check(
         counts = count_into_bins(tree, mother_sample)
         d_hat[rep] = hellinger(counts / n1, model_pmf(tree))
         p_prime = free_param_count(tree)
-    correction = math.sqrt(8.0 * p_prime / n2)
+    correction = bias_correction(p_prime, n1, n2)[1]
     adequate = replicates >= 2
     se_true, se_hat = _standard_error(d_true), _standard_error(d_hat)
     slack = 3.0 * math.hypot(se_true, se_hat)  # nan unless adequate

@@ -33,7 +33,6 @@ from hellfit.divergence import (
     hellinger,
 )
 from hellfit.mc_validate import (
-    ExperimentConfig,
     MultivariateNormal,
     UniformCube,
     bias_bound_check,
@@ -66,14 +65,9 @@ def announce(capsys, line):
 
 @functools.lru_cache(maxsize=None)
 def moving_risk(n, replicates):
-    config = ExperimentConfig(
-        distribution=UniformCube(1),
-        spec=PartitionSpec(depth=1, branching=4),
-        n=n,
-        replicates=replicates,
-        seed=0,
+    return one_sample_risk_moving(
+        UniformCube(1), PartitionSpec(depth=1, branching=4), n=n, replicates=replicates, seed=0
     )
-    return one_sample_risk_moving(config)
 
 
 @pytest.fixture(scope="module")
@@ -150,14 +144,7 @@ def test_criterion_4_fixed_region_risk(capsys):
     assert fixed_risk_prediction(HELLINGER, [0.25] * 4, n) == pytest.approx(
         by_hand, rel=1e-12
     )
-    config = ExperimentConfig(
-        distribution=None,
-        spec=PartitionSpec(depth=1, branching=4),
-        n=n,
-        replicates=10**5,
-        seed=1,
-    )
-    est = one_sample_risk_fixed(config, [0.25] * 4)
+    est = one_sample_risk_fixed([0.25] * 4, n=n, replicates=10**5, seed=1)
     assert abs(est.mean - est.prediction) <= 3 * est.standard_error
     announce(
         capsys,

@@ -218,6 +218,41 @@ class TestUsageErrors:
         assert "error: argument" in capsys.readouterr().err
 
 
+class TestUnreadFlags:
+    """A flag that the chosen table or theorem never reads is a usage error."""
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["simulate", "--table", "5", "--n1", "1000"], "--n1"),
+            (["simulate", "--table", "6", "--n1", "1000"], "--n1"),
+            (["validate", "--theorem", "2", "--n1", "1000"], "--n1"),
+            (["validate", "--theorem", "2", "--n2", "5000"], "--n2"),
+            (["validate", "--theorem", "2", "--config", "identical-normals"], "--config"),
+            (["validate", "--theorem", "3", "--n1", "1000"], "--n1"),
+            (["validate", "--theorem", "3", "--n2", "5000"], "--n2"),
+            (["validate", "--theorem", "3", "--config", "shifted-normals"], "--config"),
+            (["validate", "--theorem", "4", "--n", "100"], "--n"),
+        ],
+    )
+    def test_unread_flag_exit_2(self, capsys, argv, flag):
+        with pytest.raises(SystemExit) as exc:
+            run(argv)
+        assert exc.value.code == 2
+        assert f"error: argument {flag}: not read by" in capsys.readouterr().err
+
+    def test_theorem_4_defaults(self, capsys):
+        tail = ["--replicates", "2", "--seed", "5"]
+        _, implicit, _ = run_cli(capsys, ["validate", "--theorem", "4", *tail])
+        _, explicit, _ = run_cli(
+            capsys,
+            ["validate", "--theorem", "4", "--n1", "1000", "--n2", "100000",
+             "--config", "identical-normals", *tail],
+        )
+        assert implicit == explicit
+        assert json.loads(implicit)["config"] == "identical-normals"
+
+
 def _reject_constant(name):
     raise ValueError(f"not JSON: {name}")
 
@@ -279,6 +314,14 @@ class TestThreshold:
         )
         assert code == 1 and out == ""
         assert err.startswith("hellfit: error:")
+
+    def test_close_alphas_report_different_labels(self, capsys):
+        labels = []
+        for name in ("alpha:0.5000001", "alpha:0.5"):
+            code, out, _ = run_cli(capsys, ["threshold", "--generator", name, "--epsilon", "0.05"])
+            assert code == 0
+            labels.append(json.loads(out)["generator"])
+        assert labels == ["alpha:0.5000001", "alpha:0.5"]
 
     @pytest.mark.parametrize("alpha", ["0.999", "100"])
     def test_alpha_near_the_pole_or_large_accepted(self, capsys, alpha):

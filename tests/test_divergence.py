@@ -14,6 +14,45 @@ from hellfit.divergence import (
 )
 
 
+def reference_f_divergence(f, m1, m2):
+    """The per-element loop that ``f_divergence`` vectorizes, kept as a reference."""
+    terms = []
+    for a, b in zip(np.asarray(m1, dtype=float), np.asarray(m2, dtype=float)):
+        if a == 0.0:
+            if b == 0.0:
+                continue
+            term = b * f.slope_at_infinity
+        elif b == 0.0:
+            term = a * f.at_zero
+        else:
+            term = a * float(f.evaluate(b / a))
+        if math.isinf(term):
+            return math.inf
+        terms.append(term)
+    return math.fsum(terms)
+
+
+def reference_evaluate(alpha, x):
+    """The family's closed form at x > 0, through the same numpy loops as a
+    one-element array."""
+    x = np.array([x], dtype=float)
+    if alpha == 1.0:
+        return (x * np.log(x) + 1 - x)[0]
+    if alpha == -1.0:
+        return (-np.log(x) + x - 1)[0]
+    return (4 / (1 - alpha**2) * (1 - x ** ((1 + alpha) / 2)) + 2 / (1 - alpha) * (x - 1))[0]
+
+
+def same_bits(a, b):
+    return a == b and np.signbit(a) == np.signbit(b)
+
+
+DIFFERENTIAL_GENERATORS = [
+    "hellinger", "kl", "reverse-kl", "chi2",
+    "alpha:0.5", "alpha:-0.5", "alpha:3", "alpha:-3", "alpha:100",
+]
+
+
 class TestAlphaGenerator:
     def test_hellinger_pointwise(self):
         gen = alpha_generator(0.0)
@@ -56,6 +95,24 @@ class TestAlphaGenerator:
         np.testing.assert_allclose(gen.evaluate(x), [0.5, 0.0, 2.0])
 
     @given(
+        st.one_of(
+            st.floats(-30, 30).filter(lambda a: min(abs(a - 1), abs(a + 1)) >= 1e-3),
+            st.sampled_from([-1.0, 0.0, 1.0, 3.0, -3.0, 100.0]),
+        ),
+        st.floats(min_value=0.0, max_value=1e6, exclude_min=True),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_evaluate_at_zero_is_at_zero_and_unchanged_elsewhere(self, alpha, x):
+        gen = alpha_generator(alpha)
+        assert gen.evaluate(0.0) == gen.at_zero
+        with np.errstate(over="ignore"):  # x ** ((1+a)/2) may overflow for a far from 0
+            got, want = gen.evaluate(x), reference_evaluate(alpha, x)
+            mixed = gen.evaluate(np.array([0.0, x, -0.0]))
+        assert same_bits(got, want) or (np.isnan(got) and np.isnan(want))
+        assert mixed[0] == mixed[2] == gen.at_zero
+        assert same_bits(mixed[1], want) or (np.isnan(mixed[1]) and np.isnan(want))
+
+    @given(
         st.one_of(st.floats(-0.9, 0.9), st.sampled_from([-1.0, 1.0, 3.0])),
         st.floats(0.01, 100),
     )
@@ -93,6 +150,16 @@ class TestGeneratorByName:
 
     def test_alpha_prefix(self):
         assert generator_by_name("alpha:0.5").alpha == 0.5
+
+    def test_label_is_the_name_as_given(self):
+        assert generator_by_name("kl").label == "kl"
+        assert generator_by_name("alpha:0.5").label == "alpha:0.5"
+        assert generator_by_name("alpha:0.5000001").label == "alpha:0.5000001"
+
+    def test_alpha_generator_label_is_exact(self):
+        assert alpha_generator(0.5000001).label == "alpha:0.5000001"
+        assert alpha_generator(0.5).label != alpha_generator(0.5000001).label
+        assert alpha_generator(1 / 3).label == f"alpha:{1 / 3!r}"
 
     def test_unknown(self):
         with pytest.raises(ValueError, match="unknown"):
@@ -173,6 +240,46 @@ class TestFDivergence:
         assert math.isinf(
             f_divergence(generator_by_name("kl"), [1.0, 0.0], [0.0, 1.0])
         )
+
+    @pytest.mark.parametrize("name", DIFFERENTIAL_GENERATORS)
+    def test_matches_the_loop_with_zero_bins(self, name):
+        gen = generator_by_name(name)
+        rng = np.random.default_rng(sum(map(ord, name)))
+        for _ in range(300):
+            k = int(rng.integers(1, 9))
+            m1 = rng.random(k) * (rng.random(k) > 0.3)  # zero bins on either side,
+            m2 = rng.random(k) * (rng.random(k) > 0.3)  # and on both
+            m1 /= m1.sum() or 1.0
+            m2 /= m2.sum() or 1.0
+            with np.errstate(all="ignore"):  # the loop may overflow where inf is the answer
+                want = reference_f_divergence(gen, m1, m2)
+            assert same_bits(f_divergence(gen, m1, m2), want), (m1, m2)
+
+    @pytest.mark.parametrize(
+        "m1, m2",
+        [
+            ([0.5, 0.5], [1.0, 0.0]),  # m2 = 0: kl's f(0) is inf
+            ([0.0, 0.5, 0.5], [0.0, 0.5, 0.5]),
+            ([0.0, 1.0], [0.5, 0.5]),
+            ([0.0, 0.0], [0.0, 0.0]),
+            ([1.0, 0.0], [0.0, 1.0]),
+            ([], []),
+            # m2/m1 overflows: a nan term (reverse-kl) beside an infinite one
+            ([5e-324, 0.0, 1.0], [0.5, 0.5, 0.0]),
+        ],
+    )
+    @pytest.mark.parametrize("name", DIFFERENTIAL_GENERATORS)
+    def test_matches_the_loop_on_edge_cases(self, name, m1, m2):
+        gen = generator_by_name(name)
+        with np.errstate(all="ignore"):
+            want = reference_f_divergence(gen, m1, m2)
+            got = f_divergence(gen, m1, m2)
+        assert same_bits(got, want) or (math.isnan(got) and math.isnan(want))
+
+    def test_infinite_term_gives_inf(self):
+        kl = generator_by_name("kl")
+        assert f_divergence(kl, [0.25, 0.25, 0.5], [0.5, 0.5, 0.0]) == math.inf
+        assert reference_f_divergence(kl, [0.25, 0.25, 0.5], [0.5, 0.5, 0.0]) == math.inf
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):

@@ -6,6 +6,10 @@ contract; another module that needs one should get a public function instead.
 Array layout has one owner as well: ``Dataset`` stores its values column-major,
 so only ``dataset.py`` converts layouts, and no other module copies a column
 to make it contiguous.
+
+So do the zero-bin conventions of an f-divergence: only ``divergence.py`` reads
+a generator's ``at_zero`` (f(0)) or ``slope_at_infinity``; other modules get
+f(0) from ``evaluate``.
 """
 
 import ast
@@ -110,3 +114,37 @@ def test_only_the_dataset_chooses_array_layout(path):
 )
 def test_checker_flags_layout_calls(source, expected):
     assert layout_calls(source) == expected
+
+
+BOUNDARY_ATTRIBUTES = {"at_zero", "slope_at_infinity"}
+
+
+def boundary_reads(source: str) -> list[str]:
+    """Reads in ``source`` of a generator's f(0) or lim f(t)/t attribute."""
+    return [
+        f"{node.attr}:{node.lineno}"
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Attribute) and node.attr in BOUNDARY_ATTRIBUTES
+    ]
+
+
+@pytest.mark.parametrize(
+    "path",
+    sorted(path for path in PACKAGE.glob("*.py") if path.name != "divergence.py"),
+    ids=lambda path: path.name,
+)
+def test_only_the_divergence_module_applies_zero_bin_conventions(path):
+    assert boundary_reads(path.read_text()) == []
+
+
+@pytest.mark.parametrize(
+    "source, expected",
+    [
+        ("terms = np.where(m_hat == 0, true_m * f.at_zero, terms)", ["at_zero:1"]),
+        ("if math.isinf(f.at_zero):\n    pass", ["at_zero:1"]),
+        ("x = 1\nterm = b * gen.slope_at_infinity", ["slope_at_infinity:2"]),
+        ("getattr(f, 'at_zero')\nf.evaluate(0.0)\nat_zero = 2.0", []),
+    ],
+)
+def test_checker_flags_boundary_reads(source, expected):
+    assert boundary_reads(source) == expected

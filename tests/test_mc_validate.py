@@ -9,7 +9,6 @@ from hellfit.dataset import Dataset, RngStream
 from hellfit.divergence import generator_by_name
 from hellfit.mc_validate import (
     BiasBoundReport,
-    ExperimentConfig,
     MultivariateNormal,
     UniformCube,
     bias_bound_check,
@@ -194,27 +193,21 @@ class TestLeafMassesDifferential:
 
 class TestMovingRisk:
     def test_uniform_leading_term(self):
-        config = ExperimentConfig(
-            distribution=UniformCube(1),
-            spec=PartitionSpec(depth=1, branching=4),
-            n=1000,
-            replicates=2000,
-            seed=0,
+        est = one_sample_risk_moving(
+            UniformCube(1), PartitionSpec(depth=1, branching=4), n=1000, replicates=2000, seed=0
         )
-        est = one_sample_risk_moving(config)
         assert est.prediction == pytest.approx(3 / 2000, rel=1e-12)
         assert abs(est.mean - est.prediction) < 3 * est.standard_error + 0.1 * est.prediction
         assert 0.9 < est.ratio < 1.1
 
     def test_normal_2d(self):
-        config = ExperimentConfig(
-            distribution=MultivariateNormal(np.zeros(2), np.eye(2)),
-            spec=PartitionSpec(depth=2, branching=4),
+        est = one_sample_risk_moving(
+            MultivariateNormal(np.zeros(2), np.eye(2)),
+            PartitionSpec(depth=2, branching=4),
             n=10**4,
             replicates=120,
             seed=1,
         )
-        est = one_sample_risk_moving(config)
         assert est.prediction == pytest.approx(15 / (2 * 10**4), rel=1e-12)
         assert 0.85 < est.ratio < 1.15
 
@@ -223,46 +216,28 @@ class TestMovingRisk:
         reps = [800, 300, 120]
         means = []
         for n, r in zip(sizes, reps):
-            config = ExperimentConfig(
-                distribution=UniformCube(1),
-                spec=PartitionSpec(depth=1, branching=4),
-                n=n,
-                replicates=r,
-                seed=2,
+            est = one_sample_risk_moving(
+                UniformCube(1), PartitionSpec(depth=1, branching=4), n=n, replicates=r, seed=2
             )
-            means.append(one_sample_risk_moving(config).mean)
+            means.append(est.mean)
         slope = np.polyfit(np.log(sizes), np.log(means), 1)[0]
         assert slope == pytest.approx(-1.0, abs=0.1)
 
     def test_requires_known_masses(self):
-        config = ExperimentConfig(
-            distribution=object(),
-            spec=PartitionSpec(depth=1, branching=4),
-            n=100,
-            replicates=2,
-        )
         with pytest.raises(ValueError, match="known masses"):
-            one_sample_risk_moving(config)
+            one_sample_risk_moving(
+                object(), PartitionSpec(depth=1, branching=4), n=100, replicates=2
+            )
 
     def test_zero_replicates_rejected(self):
-        config = ExperimentConfig(
-            distribution=UniformCube(1),
-            spec=PartitionSpec(depth=1, branching=4),
-            n=100,
-            replicates=0,
-        )
         with pytest.raises(ValueError, match="replicates"):
-            one_sample_risk_moving(config)
+            one_sample_risk_moving(
+                UniformCube(1), PartitionSpec(depth=1, branching=4), n=100, replicates=0
+            )
 
     def test_deterministic_given_seed(self):
-        config = ExperimentConfig(
-            distribution=UniformCube(1),
-            spec=PartitionSpec(depth=1, branching=4),
-            n=200,
-            replicates=20,
-            seed=3,
-        )
-        assert one_sample_risk_moving(config) == one_sample_risk_moving(config)
+        args = (UniformCube(1), PartitionSpec(depth=1, branching=4), 200, 20, 3)
+        assert one_sample_risk_moving(*args) == one_sample_risk_moving(*args)
 
 
 class TestFixedRisk:
@@ -276,14 +251,7 @@ class TestFixedRisk:
         assert pred == pytest.approx(0.0015 + 2.71875e-6, rel=1e-12)
 
     def test_mc_agrees_uniform(self):
-        config = ExperimentConfig(
-            distribution=None,
-            spec=PartitionSpec(depth=1, branching=4),
-            n=100,
-            replicates=10**5,
-            seed=4,
-        )
-        est = one_sample_risk_fixed(config, [0.25] * 4)
+        est = one_sample_risk_fixed([0.25] * 4, n=100, replicates=10**5, seed=4)
         assert abs(est.mean - est.prediction) < 3 * est.standard_error
 
     def test_mc_agrees_skewed(self):
@@ -295,19 +263,14 @@ class TestFixedRisk:
             4 * d3 * (-10 + big_m) + 3 * d4 * (-7 + big_m)
         ) / (24 * 200**2)
         assert pred == pytest.approx(by_hand, rel=1e-12)
-        config = ExperimentConfig(
-            distribution=None,
-            spec=PartitionSpec(depth=1, branching=4),
-            n=200,
-            replicates=10**5,
-            seed=5,
-        )
-        est = one_sample_risk_fixed(config, true_m)
+        est = one_sample_risk_fixed(true_m, n=200, replicates=10**5, seed=5)
         assert abs(est.mean - est.prediction) < 3 * est.standard_error
 
     def test_zero_mass_rejected(self):
         with pytest.raises(ValueError):
             fixed_risk_prediction(generator_by_name("hellinger"), [0.5, 0.5, 0.0], 100)
+        with pytest.raises(ValueError, match="positive"):
+            one_sample_risk_fixed([0.5, 0.5, 0.0], n=100, replicates=10)
 
     def test_leading_terms_match_moving_risk(self):
         # Theorems 2 and 3 share the p'/(2n) leading term
