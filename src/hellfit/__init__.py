@@ -1,7 +1,9 @@
 """Two-sample closeness evaluation via equal-mass discretization and the
 Hellinger distance, with a Bayes-error-rate-derived threshold."""
 
-from hellfit.dataset import Dataset, RngStream, ar_covariance, load_dataset, sample_mvn
+from hellfit.dataset import (
+    Dataset, RngStream, ar_covariance, load_dataset, sample_mvn, save_dataset
+)
 from hellfit.divergence import (
     DivergenceGenerator,
     alpha_generator,
@@ -40,6 +42,7 @@ __all__ = [
     "RngStream",
     "ar_covariance",
     "load_dataset",
+    "save_dataset",
     "sample_mvn",
     "DivergenceGenerator",
     "alpha_generator",

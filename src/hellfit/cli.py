@@ -100,7 +100,7 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--n2", type=_positive_int_arg, default=10**7)
     sim.add_argument("--k", type=_positive_int_arg)
     sim.add_argument("--branching", type=_fan_arg, default=4)
-    sim.add_argument("--epsilon", type=_epsilon_arg, default=0.05)
+    sim.add_argument("--epsilon", type=_epsilon_arg, help="tables 1-4 only (default 0.05)")
     sim.add_argument("--seed", type=int, default=0)
 
     val = sub.add_parser("validate", help="Monte Carlo check of a risk theorem")
@@ -205,7 +205,7 @@ def _run_simulate(args):
         args.table,
         n1_values=args.n1,
         n2=args.n2,
-        epsilon=args.epsilon,
+        epsilon=args.epsilon or 0.05,
         seed=args.seed,
         k=args.k,
         branching=args.branching,
@@ -287,7 +287,7 @@ def _unread_flag(args):
     """The usage error for a flag given to a table or theorem that never reads
     it, or None."""
     if args.command == "simulate" and args.table >= 5:
-        mode, unread = f"table {args.table}", ("n1",)
+        mode, unread = f"table {args.table}", ("n1", "epsilon")
     elif args.command == "validate":
         mode = f"theorem {args.theorem}"
         unread = ("n",) if args.theorem == 4 else ("n1", "n2", "config")

@@ -71,8 +71,8 @@ class Dataset:
         return self.values.shape[1]
 
 
-def load_dataset(path, bounds=None, delimiter: str = ",") -> Dataset:
-    """Parse a CSV file of reals into a Dataset.
+def load_dataset(path, bounds=None) -> Dataset:
+    """Parse a comma-separated file of reals into a Dataset.
 
     A single non-numeric first line is treated as a header.  Row and column
     indices in error messages are 1-based.
@@ -84,13 +84,13 @@ def load_dataset(path, bounds=None, delimiter: str = ",") -> Dataset:
     """
     text = Path(path).read_text()
     lines = text.splitlines()
-    values = _parse_vectorized(text, lines, delimiter)
+    values = _parse_vectorized(text, lines)
     if values is None:
-        values = _parse_by_line(path, lines, delimiter)
+        values = _parse_by_line(path, lines)
     return Dataset(values, tuple(bounds) if bounds else ())
 
 
-def _is_header(line, delimiter):
+def _is_header(line):
     def numeric(cell):
         try:
             float(cell)
@@ -98,15 +98,15 @@ def _is_header(line, delimiter):
             return False
         return True
 
-    return not any(numeric(cell) for cell in line.split(delimiter))
+    return not any(numeric(cell) for cell in line.split(","))
 
 
-def _parse_vectorized(text, lines, delimiter):
+def _parse_vectorized(text, lines):
     """The data rows of ``text`` as a finite float matrix, or None to defer to the line parse."""
     first = next((i for i, line in enumerate(lines) if line.strip() != ""), None)
     if first is None:
         return None
-    if _is_header(lines[first], delimiter):
+    if _is_header(lines[first]):
         first += 1
     # the line parse skips blank and whitespace-only lines; numpy would fail on them
     rows = [line for line in lines[first:] if line.strip() != ""]
@@ -119,22 +119,20 @@ def _parse_vectorized(text, lines, delimiter):
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            values = np.loadtxt(
-                rows, delimiter=delimiter, comments=None, ndmin=2, dtype=float
-            )
-    except (ValueError, TypeError, Warning):  # TypeError: a delimiter numpy refuses
+            values = np.loadtxt(rows, delimiter=",", comments=None, ndmin=2, dtype=float)
+    except (ValueError, Warning):
         return None
     return values if np.isfinite(values).all() else None
 
 
-def _parse_by_line(path, lines, delimiter):
+def _parse_by_line(path, lines):
     """Parse with one ``float()`` per cell; raises ParseError at the first bad cell."""
     rows = [(idx + 1, line) for idx, line in enumerate(lines) if line.strip() != ""]
     if not rows:
         raise ParseError(f"{path}: empty input")
 
     def parse_row(lineno, line):
-        cells = line.split(delimiter)
+        cells = line.split(",")
         out = []
         for col, cell in enumerate(cells, start=1):
             try:
@@ -146,7 +144,7 @@ def _parse_by_line(path, lines, delimiter):
             out.append(value)
         return out
 
-    start = 1 if _is_header(rows[0][1], delimiter) else 0
+    start = 1 if _is_header(rows[0][1]) else 0
     if start == len(rows):
         raise ParseError(f"{path}: empty input")
 

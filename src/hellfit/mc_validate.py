@@ -167,6 +167,8 @@ def fixed_risk_prediction(f: DivergenceGenerator, true_m, n: int) -> float:
 def one_sample_risk_fixed(true_m, n: int, replicates: int, seed: int = 0) -> RiskEstimate:
     """Mean Hellinger divergence between true and empirical multinomial
     frequencies on fixed bins, against the two-term expansion."""
+    if replicates < 1:
+        raise ValueError("replicates must be >= 1")
     true_m = np.asarray(true_m, dtype=float)
     prediction = fixed_risk_prediction(_HELLINGER, true_m, n)  # rejects empty bins first
     counts = RngStream(seed, 0).generator().multinomial(n, true_m, size=replicates)

@@ -17,9 +17,9 @@ a point to its leaf.
 A leaf's path is its child index at every level, and leaves are numbered in
 lexicographic path order, ``np.ndindex(*tree.fans)``.  ``leaf_edges`` reads
 every leaf's (lo, hi] per level from the level arrays; JSON documents are
-written from, and checked against, those arrays.  This module is the only one
-that knows how a partition is stored and split: ``build_moving_partition``
-and ``pairwise_partitions`` share the per-level split ``_split_level``.
+written from those arrays.  This module is the only one that knows how a
+partition is stored and split: ``build_moving_partition`` and
+``pairwise_partitions`` share the per-level split ``_split_level``.
 
 The moving build runs level by level on a permutation of the row indices,
 reading each split axis from its column, a contiguous view.  Per region,
@@ -250,14 +250,6 @@ def assign(tree: PartitionTree, values) -> np.ndarray:
     return ids
 
 
-def locate(tree: PartitionTree, point) -> int:
-    """Index of the unique leaf whose (lo, hi] interval chain contains point."""
-    point = np.asarray(point, dtype=float)
-    if point.ndim != 1:
-        raise ValueError(f"point of shape {point.shape} is not a vector of dimension {tree.k}")
-    return int(assign(tree, point[None, :])[0])
-
-
 def count_into_bins(tree: PartitionTree, sample: Dataset):
     """Vector of per-leaf row counts for the sample; sums to sample.n."""
     return np.bincount(assign(tree, sample.values), minlength=tree.leaf_count)
@@ -292,46 +284,3 @@ def tree_to_json(tree: PartitionTree) -> str:
         ],
     }
     return json.dumps(doc, indent=2)
-
-
-def tree_from_json(text: str) -> PartitionTree:
-    """Partition from ``tree_to_json`` output.
-
-    Raises ValueError unless the document's leaves are exactly the
-    lexicographic leaves of the partition that their ``hi`` ends describe,
-    every interval (lo, hi] is non-empty, and every count is an int >= 0.
-    """
-    try:
-        doc = json.loads(text)
-        axes, k, entries = tuple(doc["axes"]), doc["dimension"], doc["leaves"]
-        bounds = tuple((float(lo), float(hi)) for lo, hi in doc["bounds"])
-        paths = [tuple(entry["path"]) for entry in entries]
-        chains = [[(float(lo), float(hi)) for lo, hi in e["intervals"]] for e in entries]
-        counts = [entry["count"] for entry in entries]
-        depth = len(axes)
-        ints = all(type(i) is int for i in (k, doc["depth"], *axes))
-        if not ints or doc["depth"] != depth or len(bounds) != k or not set(axes) <= set(range(k)):
-            raise ValueError("partition document axes do not match its depth and dimension")
-        if not all(type(c) is int and c >= 0 for c in counts):
-            raise ValueError("partition document counts must be ints >= 0")
-        if {(len(path), len(chain)) for path, chain in zip(paths, chains)} != {(depth, depth)}:
-            raise ValueError("partition document leaves need one interval per level")
-        fans = [max(path[level] for path in paths) + 1 for level in range(depth)]
-        if len(paths) != math.prod(fans):
-            raise ValueError("partition document leaf count is not the product of its fan-outs")
-        # level l: the hi end of the first leaf below each child of every region
-        his = np.array([[hi for _, hi in chain] for chain in chains])
-        breaks = tuple(
-            his[:, level].reshape(math.prod(fans[:level]), fan, -1)[:, :-1, 0]
-            for level, fan in enumerate(fans)
-        )
-        tree = PartitionTree(k, axes, bounds, breaks, tuple(counts))
-        edges = np.stack(leaf_edges(tree), axis=-1).swapaxes(0, 1)
-        # lo < hi everywhere: each region's breaks increase strictly inside its bounds
-        if paths != list(np.ndindex(*fans)) or not np.array_equal(chains, edges) or not np.all(
-            edges[..., 0] < edges[..., 1]
-        ):
-            raise ValueError("partition document leaves do not tile their regions")
-    except (KeyError, TypeError) as err:
-        raise ValueError(f"malformed partition document: {err!r}") from None
-    return tree

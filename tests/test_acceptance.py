@@ -42,11 +42,11 @@ from hellfit.mc_validate import (
 )
 from hellfit.partition import (
     PartitionSpec,
+    assign,
     build_moving_partition,
     count_into_bins,
     free_param_count,
     leaf_edges,
-    locate,
     model_pmf,
     pairwise_partitions,
 )
@@ -262,7 +262,7 @@ def test_criterion_9_property_suites(capsys):
         points = rng.standard_normal((100, k)) * 3
         counts = count_into_bins(tree, Dataset(points))
         assert counts.sum() == len(points)  # coverage
-        idx = np.array([locate(tree, p) for p in points])
+        idx = np.array([assign(tree, p[None, :])[0] for p in points])
         np.testing.assert_array_equal(  # exclusivity: unique bin per point
             counts, np.bincount(idx, minlength=tree.leaf_count)
         )

@@ -233,6 +233,8 @@ class TestUnreadFlags:
             (["validate", "--theorem", "3", "--n2", "5000"], "--n2"),
             (["validate", "--theorem", "3", "--config", "shifted-normals"], "--config"),
             (["validate", "--theorem", "4", "--n", "100"], "--n"),
+            (["simulate", "--table", "5", "--epsilon", "0.2"], "--epsilon"),
+            (["simulate", "--table", "6", "--epsilon", "0.05"], "--epsilon"),
         ],
     )
     def test_unread_flag_exit_2(self, capsys, argv, flag):

@@ -10,12 +10,17 @@ to make it contiguous.
 So do the zero-bin conventions of an f-divergence: only ``divergence.py`` reads
 a generator's ``at_zero`` (f(0)) or ``slope_at_infinity``; other modules get
 f(0) from ``evaluate``.
+
+And every public function or class is either read somewhere in the package or
+exported in ``hellfit.__all__``: a name that only tests call is dead code.
 """
 
 import ast
 from pathlib import Path
 
 import pytest
+
+import hellfit
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "hellfit"
 
@@ -148,3 +153,46 @@ def test_only_the_divergence_module_applies_zero_bin_conventions(path):
 )
 def test_checker_flags_boundary_reads(source, expected):
     assert boundary_reads(source) == expected
+
+
+def unused_public_names(sources: dict[str, str], exported) -> list[str]:
+    """Public top-level functions and classes of ``sources`` (module name to
+    text) that no module reads, by name or as an attribute, and that are not in
+    ``exported``."""
+    defined, read = [], set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        defined += [
+            f"{module}.{node.name}"
+            for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not _private(node.name)
+        ]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    return [name for name in defined if name.split(".")[1] not in read | set(exported)]
+
+
+def test_every_public_name_is_used_or_exported():
+    sources = {
+        path.stem: path.read_text()
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.name != "__init__.py"
+    }
+    assert unused_public_names(sources, hellfit.__all__) == []
+
+
+@pytest.mark.parametrize(
+    "sources, exported, expected",
+    [
+        ({"a": "def f(): pass\ndef g(): f()"}, [], ["a.g"]),
+        ({"a": "def f(): pass\nclass C: pass", "b": "import a\na.f(a.C)"}, [], []),
+        ({"a": "def f(): pass\ndef _g(): pass\nclass C:\n    def h(self): pass"}, ["f", "C"], []),
+        ({"a": "def f(): pass", "b": "from a import f"}, [], ["a.f"]),
+        ({"a": "def f():\n    def g(): pass\n    return g"}, [], ["a.f"]),
+    ],
+)
+def test_checker_flags_unused_public_names(sources, exported, expected):
+    assert unused_public_names(sources, exported) == expected

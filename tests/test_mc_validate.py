@@ -234,6 +234,8 @@ class TestMovingRisk:
             one_sample_risk_moving(
                 UniformCube(1), PartitionSpec(depth=1, branching=4), n=100, replicates=0
             )
+        with pytest.raises(ValueError, match="replicates"):
+            one_sample_risk_fixed([0.25] * 4, 100, 0)
 
     def test_deterministic_given_seed(self):
         args = (UniformCube(1), PartitionSpec(depth=1, branching=4), 200, 20, 3)

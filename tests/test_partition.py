@@ -1,5 +1,4 @@
 import json
-from itertools import pairwise
 
 import numpy as np
 import pytest
@@ -16,10 +15,8 @@ from hellfit.partition import (
     count_into_bins,
     free_param_count,
     leaf_edges,
-    locate,
     model_pmf,
     pairwise_partitions,
-    tree_from_json,
     tree_to_json,
 )
 
@@ -104,26 +101,22 @@ class TestMovingPartition:
 
 
 class TestLocate:
+    """Point location: ``assign`` on single rows, and its input checks."""
+
     def test_boundary_belongs_to_lower_bin(self, eight_point_tree):
         tree, _ = eight_point_tree
-        assert locate(tree, [0.2]) == 0
-        assert locate(tree, [0.200001]) == 1
+        assert assign(tree, [[0.2]])[0] == 0
+        assert assign(tree, [[0.200001]])[0] == 1
 
     def test_unbounded_first_bin(self, eight_point_tree):
         tree, _ = eight_point_tree
-        assert locate(tree, [-1e9]) == 0
+        assert assign(tree, [[-1e9]])[0] == 0
 
     @pytest.mark.parametrize("point", [[0.1, 0.2, 99.0], [0.1]])
     def test_point_of_another_dimension(self, point):
         tree = orthants(2)
         with pytest.raises(ValueError, match=f"sample dimension {len(point)} != tree dimension 2"):
-            locate(tree, point)
-
-    @pytest.mark.parametrize("k", [1, 2])
-    def test_scalar_point(self, k):
-        tree = orthants(k)
-        with pytest.raises(ValueError, match=rf"shape \(\) is not a vector of dimension {k}"):
-            locate(tree, 0.5)
+            assign(tree, [point])
 
     def test_assign_needs_rows(self):
         tree = orthants(2)
@@ -175,7 +168,7 @@ class TestProperties:
                 sample, PartitionSpec(depth=depth, branching=branching)
             )
             points = rng.standard_normal((100, k)) * 3
-            idx = [locate(tree, p) for p in points]
+            idx = [assign(tree, p[None, :])[0] for p in points]
             assert all(0 <= i < tree.leaf_count for i in idx)
             counts = count_into_bins(tree, Dataset(points))
             assert counts.sum() == len(points)
@@ -258,96 +251,19 @@ class TestProperties:
         assert count_into_bins(tree, sample).tolist() == list(tree.counts)
 
 
-def with_first_count(doc, count):
-    """A partition document with its first leaf's count replaced."""
-    return {**doc, "leaves": [{**doc["leaves"][0], "count": count}, *doc["leaves"][1:]]}
-
-
-MALFORMED_DOCUMENTS = {
-    "empty-object": lambda doc: {},
-    "list": lambda doc: [doc],
-    "no-leaves": lambda doc: {key: value for key, value in doc.items() if key != "leaves"},
-    "no-intervals": lambda doc: {
-        **doc, "leaves": [{"path": l["path"], "count": l["count"]} for l in doc["leaves"]]
-    },
-    "axes-0": lambda doc: {**doc, "axes": 0},
-    "axes-float": lambda doc: {**doc, "axes": [0.0, 1.0]},
-    "count-1.5": lambda doc: with_first_count(doc, 1.5),
-    "count-true": lambda doc: with_first_count(doc, True),
-    "count-negative": lambda doc: with_first_count(doc, -1),
-    "one-count-null": lambda doc: with_first_count(doc, None),
-    "all-counts-null": lambda doc: {
-        **doc, "leaves": [{**leaf, "count": None} for leaf in doc["leaves"]]
-    },
-}
-
-
 class TestSerialization:
     def test_round_trip_lossless(self):
         sample = Dataset(RngStream(7).generator().standard_normal((100, 2)))
         tree = build_moving_partition(sample, PartitionSpec(depth=2, branching=3))
-        again = tree_from_json(tree_to_json(tree))
-        for a, b in zip(leaf_edges(again), leaf_edges(tree)):
-            np.testing.assert_array_equal(a, b)
-        assert again.counts == tree.counts
-        points = RngStream(8).generator().standard_normal((200, 2))
-        for p in points:
-            assert locate(tree, p) == locate(again, p)
+        leaves = json.loads(tree_to_json(tree))["leaves"]
+        chains = np.array([leaf["intervals"] for leaf in leaves], dtype=float)
+        lows, highs = leaf_edges(tree)
+        np.testing.assert_array_equal(chains[..., 0], lows.T)
+        np.testing.assert_array_equal(chains[..., 1], highs.T)
+        assert tuple(leaf["count"] for leaf in leaves) == tree.counts
 
     def test_infinite_endpoints_as_strings(self):
         sample = Dataset(np.arange(8.0).reshape(-1, 1))
         tree = build_moving_partition(sample, PartitionSpec(depth=1, branching=2))
         text = tree_to_json(tree)
         assert '"-inf"' in text and '"inf"' in text
-
-    @staticmethod
-    def document():
-        sample = Dataset(RngStream(9).generator().standard_normal((60, 2)))
-        tree = build_moving_partition(sample, PartitionSpec(depth=2, branching=3))
-        return json.loads(tree_to_json(tree))
-
-    def assert_rejected(self, corrupt):
-        doc = self.document()
-        corrupt(doc["leaves"])
-        with pytest.raises(ValueError, match="partition document"):
-            tree_from_json(json.dumps(doc))
-
-    @pytest.mark.parametrize("case", list(MALFORMED_DOCUMENTS))
-    def test_malformed_document_rejected(self, case):
-        text = json.dumps(MALFORMED_DOCUMENTS[case](self.document()))
-        with pytest.raises(ValueError, match="partition document"):
-            tree_from_json(text)
-
-    def test_duplicated_leaf_rejected(self):
-        self.assert_rejected(lambda leaves: leaves.insert(1, leaves[0]))
-
-    def test_interval_disagreeing_with_sibling_rejected(self):
-        def corrupt(leaves):
-            leaves[1]["intervals"][1][0] += 1e-3  # leaf 0 still ends at the old value
-
-        self.assert_rejected(corrupt)
-
-    def test_leaf_missing_a_level_rejected(self):
-        self.assert_rejected(lambda leaves: leaves[2]["path"].pop())
-
-    @pytest.mark.parametrize("intervals", [[[1.0, 0.0], [0.0, 2.0]], [[1.0, 2.0], [2.0, 2.0]]])
-    def test_break_outside_the_bounds_rejected(self, intervals):
-        # leaf (1, 0] of a break at 0 on (1, 2], and a break at hi leaving (2, 2] empty
-        leaves = [
-            {"path": [j], "intervals": [chain], "count": 1} for j, chain in enumerate(intervals)
-        ]
-        doc = {"dimension": 1, "depth": 1, "axes": [0], "bounds": [[1.0, 2.0]], "leaves": leaves}
-        with pytest.raises(ValueError, match="partition document leaves do not tile"):
-            tree_from_json(json.dumps(doc))
-
-    def test_regions_with_different_fan_outs_rejected(self):
-        # region 0 split in 2 and region 1 in 4: not one fan-out per level
-        leaves = [
-            {"path": [i, j], "intervals": [[i - 1.0, float(i)], [lo, hi]], "count": 1}
-            for i, fan in enumerate([2, 4])
-            for j, (lo, hi) in enumerate(pairwise(np.linspace(-1, 1, fan + 1).tolist()))
-        ]
-        doc = {"dimension": 2, "depth": 2, "axes": [0, 1],
-               "bounds": [[-1.0, 1.0], [-1.0, 1.0]], "leaves": leaves}
-        with pytest.raises(ValueError, match="partition document"):
-            tree_from_json(json.dumps(doc))
