@@ -10,9 +10,23 @@ where Delta*(delta) >= 1 solves (1/D) f(D) + (1 - 1/D) f(0) = delta and
     A(delta) = { (x, t) | x f((1-2t)/x + 1) + (1-x) f((2t-1)/(1-x) + 1) = delta,
                  0 < x < 2t < 1 }.
 
-For the Hellinger generator, Delta* has the closed form 1/(1 - delta/4)^2,
-the infimum is approximately (1 - sqrt(delta/2))/2 for delta <= 1/2, and the
-threshold guaranteeing Bayes error >= 1/2 - eps is 8 eps^2.
+Delta* is in closed form for every member f_a of the alpha family.  For
+a != +-1, f(0) = 2/(1+a), and the (1 - 1/D) terms, 2/(1-a) from f(D)/D and
+2/(1+a) from f(0), add up to 4/(1-a^2), so the left side is
+4/(1-a^2) (1 - D^((a-1)/2)) and
+
+    Delta* = exp( 2/(a-1) log1p(-delta (1-a)(1+a)/4) ),
+
+which is +inf when the log1p argument is <= -1 (|a| < 1 and
+delta >= 4/(1-a^2)).  For a = 1 the left side is log D, so Delta* = e^delta;
+for a <= -1, f(0) is infinite and there is no root.  Hellinger (a = 0) gives
+1/(1 - delta/4)^2 and chi-square (a = 3) gives 1 + 2 delta.
+
+The A-set infimum has no closed form for a != 0 and is a numeric scan: a
+bisection in t over a logit-spaced x grid.  For Hellinger it is
+(1 - sqrt(1 - (1 - delta/4)^2))/2, approximately (1 - sqrt(delta/2))/2 for
+delta <= 1/2, and the threshold guaranteeing Bayes error >= 1/2 - eps is
+8 eps^2.
 """
 
 from __future__ import annotations
@@ -24,7 +38,6 @@ import numpy as np
 
 from hellfit.divergence import DivergenceGenerator
 
-_ROOT_TOL = 1e-12
 _BISECT_ITERATIONS = 128
 _GRID_SIZE = 2048  # logit-spaced x values of the A-set scan
 
@@ -35,33 +48,26 @@ class DeltaStarResult(NamedTuple):
 
 
 def capital_delta_star(f: DivergenceGenerator, delta: float) -> DeltaStarResult:
-    """Unique Delta >= 1 with (1/Delta) f(Delta) + (1 - 1/Delta) f(0) = delta.
+    """Unique Delta >= 1 with (1/Delta) f(Delta) + (1 - 1/Delta) f(0) = delta,
+    in closed form (see the module docstring).
 
-    When f(0) is infinite the equation has no root; the branch is flagged
-    infeasible and the degenerate value 1 is returned (its 1/(2 Delta*) term
-    is then 1/2 and never binds in alpha_of_delta).  When the left side
-    saturates below delta the result is +inf (the branch value tends to 0).
+    When f(0) is infinite (alpha <= -1) the equation has no root; the branch
+    is flagged infeasible and the degenerate value 1 is returned, whose
+    1/(2 Delta*) term is 1/2 and never binds in alpha_of_delta.
     """
     if delta <= 0:
         raise ValueError("delta must be > 0")
-    f0 = f.evaluate(0.0)
-    if math.isinf(f0):
+    if math.isinf(f.evaluate(0.0)):
         return DeltaStarResult(1.0, False)
-    from scipy.optimize import brentq  # imported here: the CLI loads this module on start
-
-    def g(d):
-        return float(f.evaluate(d)) / d + (1 - 1 / d) * f0 - delta
-
-    lo, hi = 1.0, 2.0
-    glo = g(lo)
-    if glo > 0:
-        raise ValueError("bracket failure: g(1) should be -delta < 0")
-    while g(hi) < 0:
-        hi *= 2.0
-        if hi > 1e15:
-            return DeltaStarResult(math.inf, True)
-    root = brentq(g, lo, hi, xtol=_ROOT_TOL, rtol=4 * np.finfo(float).eps)
-    return DeltaStarResult(float(root), True)
+    a = f.alpha
+    shift = -delta * (1 - a) * (1 + a) / 4  # 0 at a = 1
+    if shift <= -1:
+        return DeltaStarResult(math.inf, True)
+    log_root = delta if a == 1.0 else 2 / (a - 1) * math.log1p(shift)
+    try:
+        return DeltaStarResult(math.exp(log_root), True)
+    except OverflowError:
+        return DeltaStarResult(math.inf, True)
 
 
 def _boundary_curve(f: DivergenceGenerator, x, t):
@@ -126,10 +132,8 @@ def a_set_infimum(f: DivergenceGenerator, delta: float) -> float:
 
 def _alpha_branches(f: DivergenceGenerator, delta: float):
     """(Delta* result, 1/(2 Delta*) branch, A-set infimum branch) at delta."""
-    if delta <= 0:
-        raise ValueError("delta must be > 0")
     star = capital_delta_star(f, delta)
-    branch1 = 1.0 / (2.0 * star.value) if star.feasible else 0.5
+    branch1 = 1.0 / (2.0 * star.value)
     return star, branch1, a_set_infimum(f, delta)
 
 

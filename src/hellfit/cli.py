@@ -131,24 +131,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _nulls(value):
-    """The value with every non-finite float in it, at any depth, as None."""
-    if isinstance(value, dict):
-        return {key: _nulls(item) for key, item in value.items()}
-    if isinstance(value, (list, tuple)):
-        return type(value)(_nulls(item) for item in value)
-    if isinstance(value, float) and not math.isfinite(value):
-        return None
-    return value
-
-
 def _emit(args, payload, rows=None):
     """Write the payload in the requested format; csv writes the tabular rows.
 
     Non-finite floats in the payload are written as null (None), so the json
     output is strict JSON.
     """
-    payload = _nulls(payload)
+    payload = json.loads(json.dumps(payload), parse_constant=lambda _: None)
     if args.format == "csv":
         buf = io.StringIO()
         writer = csv.DictWriter(buf, fieldnames=list(rows[0].keys()))

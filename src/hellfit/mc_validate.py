@@ -155,6 +155,8 @@ def fixed_risk_prediction(f: DivergenceGenerator, true_m, n: int) -> float:
     true_m = np.asarray(true_m, dtype=float)
     if np.any(true_m <= 0):
         raise ValueError("true bin masses must all be positive")
+    if abs(math.fsum(true_m) - 1.0) > 1e-9:
+        raise ValueError(f"true bin masses must sum to 1, not {math.fsum(true_m)!r}")
     p_prime = true_m.size - 1
     big_m = float(np.sum(1.0 / true_m))
     d3, d4 = derivatives_at_one(f)
@@ -170,7 +172,7 @@ def one_sample_risk_fixed(true_m, n: int, replicates: int, seed: int = 0) -> Ris
     if replicates < 1:
         raise ValueError("replicates must be >= 1")
     true_m = np.asarray(true_m, dtype=float)
-    prediction = fixed_risk_prediction(_HELLINGER, true_m, n)  # rejects empty bins first
+    prediction = fixed_risk_prediction(_HELLINGER, true_m, n)  # rejects bad masses before sampling
     counts = RngStream(seed, 0).generator().multinomial(n, true_m, size=replicates)
     values = (true_m * _HELLINGER.evaluate(counts / n / true_m)).sum(axis=1)
     mean = float(np.mean(values))

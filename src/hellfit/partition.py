@@ -56,6 +56,11 @@ class DegeneratePartitionError(ValueError):
     """Building points tie across a break: the model sample has an atom there."""
 
 
+def _integral(values) -> bool:
+    """True when every entry is an integer (Python or numpy), not a float."""
+    return all(isinstance(value, numbers.Integral) for value in values)
+
+
 @dataclass(frozen=True)
 class PartitionSpec:
     """How to split: depth, branching per level, axis order.
@@ -70,21 +75,21 @@ class PartitionSpec:
     axis_order: tuple[int, ...] | None = None
 
     def __post_init__(self):
-        if self.depth < 1:
-            raise ValueError("depth must be >= 1")
+        if not isinstance(self.depth, numbers.Integral) or self.depth < 1:
+            raise ValueError("depth must be an int >= 1")
         b = self.branching
         if isinstance(b, numbers.Integral):
             b = [b] * self.depth
-        elif not isinstance(b, (list, tuple)):
+        elif not isinstance(b, (list, tuple)) or not _integral(b):
             raise ValueError("branching must be an int or one int per level")
         object.__setattr__(self, "branching", tuple(int(bins) for bins in b))
         if len(self.branching) != self.depth:
             raise ValueError("per-level branching list must have one entry per level")
         if self.axis_order is not None:
-            order = tuple(int(a) for a in self.axis_order)
-            if len(order) != self.depth or len(set(order)) != self.depth:
+            order = tuple(self.axis_order)
+            if not _integral(order) or len(order) != self.depth or len(set(order)) != self.depth:
                 raise ValueError("axis_order must be a permutation of depth distinct axes")
-            object.__setattr__(self, "axis_order", order)
+            object.__setattr__(self, "axis_order", tuple(int(a) for a in order))
         if min(self.branching) < 2:
             raise ValueError("every branching value must be >= 2")
 

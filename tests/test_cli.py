@@ -309,6 +309,13 @@ class TestThreshold:
         assert code == 1
         assert "unknown generator" in err
 
+    def test_unparsable_alpha_names_the_generator(self, capsys):
+        code, out, err = run_cli(
+            capsys, ["threshold", "--generator", "alpha:abc", "--epsilon", "0.05"]
+        )
+        assert code == 1 and out == ""
+        assert err == "hellfit: error: unknown generator 'alpha:abc'\n"
+
     @pytest.mark.parametrize("alpha", ["nan", "inf", "-inf", "1e300", "0.99999997"])
     def test_alpha_outside_the_family_exit_1(self, capsys, alpha):
         code, out, err = run_cli(
@@ -542,7 +549,7 @@ GOLDEN_OUTPUTS = {
     ),
     "threshold-hellinger-epsilon": (
         ["threshold", "--generator", "hellinger", "--epsilon", "0.05"],
-        "e4b39ebc8d80cefd67ad569fd9ce0c40a5f840312b0632dc50b9b0da8b5dacf2",
+        "b34ef2c551bf754f50830bf231057b8511ee0eba82bcb30007c263902ed23e3f",
     ),
     "threshold-hellinger-delta": (
         ["threshold", "--generator", "hellinger", "--delta", "0.3"],
@@ -558,7 +565,7 @@ GOLDEN_OUTPUTS = {
     ),
     "threshold-reverse-kl-epsilon": (
         ["threshold", "--generator", "reverse-kl", "--epsilon", "0.05"],
-        "29c8f231dc6623b943d687aeb661318dba5837f589c4b9cac76e14a164ab910f",
+        "50fc59b1444978e0e129273852393080eecda3650f6051a0dd2dbf7b8cf8ed7f",
     ),
     "threshold-reverse-kl-delta": (
         ["threshold", "--generator", "reverse-kl", "--delta", "0.3"],
@@ -574,11 +581,11 @@ GOLDEN_OUTPUTS = {
     ),
     "threshold-alpha-0.5-epsilon": (
         ["threshold", "--generator", "alpha:0.5", "--epsilon", "0.05"],
-        "0ebf5b4e1a6a13752fa3079ede70de39a0822aaef40629f068e888ccfb8a0248",
+        "ac2277edd7c9af68a216c5195a4caefaed3abba4d157956b95e3009218597cea",
     ),
     "threshold-alpha-0.5-delta": (
         ["threshold", "--generator", "alpha:0.5", "--delta", "0.3"],
-        "97c41d0dc0100955107ce824b7f1b715dba86a63043aa1b2646b4067abe306da",
+        "a04e460c417fa381ac8c12c3089fa372c364706a65735e658bfb3911b5e8450d",
     ),
     "threshold-alpha-minus-3-epsilon": (
         ["threshold", "--generator", "alpha:-3", "--epsilon", "0.05"],
@@ -630,6 +637,19 @@ class TestConsoleScript:
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
+
+    # kl has no finite Delta*, hellinger takes the closed form
+    @pytest.mark.parametrize("generator", ["kl", "hellinger"])
+    def test_threshold_runs_without_scipy(self, generator):
+        proc = run_checkout_python(
+            "-c",
+            "import sys; from hellfit import cli;"
+            f" cli.run(['threshold', '--generator', '{generator}', '--epsilon', '0.05']);"
+            " print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))",
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout.rsplit("\n", 2)[0])["generator"] == generator
+        assert proc.stdout.splitlines()[-1] == "[]"
 
     def test_module_invocation(self):
         proc = run_checkout_python("-m", "hellfit.cli", "threshold", "--epsilon", "0.01")

@@ -274,6 +274,18 @@ class TestFixedRisk:
         with pytest.raises(ValueError, match="positive"):
             one_sample_risk_fixed([0.5, 0.5, 0.0], n=100, replicates=10)
 
+    @pytest.mark.parametrize("true_m", [[0.2, 0.2], [0.7, 0.7], [0.25, 0.25, 0.25, 0.25 + 2e-9]])
+    def test_masses_off_one_rejected(self, true_m):
+        with pytest.raises(ValueError, match="sum to 1"):
+            fixed_risk_prediction(generator_by_name("hellinger"), true_m, 100)
+        with pytest.raises(ValueError, match="sum to 1"):
+            one_sample_risk_fixed(true_m, n=100, replicates=10)
+
+    def test_rounding_in_the_masses_accepted(self):
+        true_m = [0.1] * 10  # sums to 0.9999999999999999
+        assert fixed_risk_prediction(generator_by_name("hellinger"), true_m, 100) > 0
+        assert one_sample_risk_fixed(true_m, n=100, replicates=10).replicates == 10
+
     def test_leading_terms_match_moving_risk(self):
         # Theorems 2 and 3 share the p'/(2n) leading term
         n = 10**6

@@ -59,11 +59,31 @@ class TestMovingPartition:
             build_moving_partition(sample, PartitionSpec(depth=1, branching=4))
 
     @pytest.mark.parametrize(
-        "branching", [(4, 1), 1, (4, 3, 2), {(): 2, (0,): 2, (1,): 4}]
+        "branching", [(4, 1), 1, (4, 3, 2), {(): 2, (0,): 2, (1,): 4}, [4.7, 2], (4, 2.0), 3.0]
     )
     def test_bad_branching_rejected_at_construction(self, branching):
         with pytest.raises(ValueError, match="branching"):
             PartitionSpec(depth=2, branching=branching)
+
+    @pytest.mark.parametrize("axis_order", [(1.9, 0), (1.0, 0.0), ("1", "0")])
+    def test_non_integer_axis_order_rejected(self, axis_order):
+        with pytest.raises(ValueError, match="axis_order must be a permutation"):
+            PartitionSpec(depth=2, branching=2, axis_order=axis_order)
+
+    @pytest.mark.parametrize("depth", [2.0, 2.5, 0, -1])
+    def test_depth_must_be_a_positive_int(self, depth):
+        with pytest.raises(ValueError, match="depth must be an int >= 1"):
+            PartitionSpec(depth=depth, branching=2)
+
+    def test_numpy_integers_accepted(self):
+        spec = PartitionSpec(
+            depth=np.int64(2),
+            branching=(np.int64(3), np.int32(2)),
+            axis_order=tuple(np.arange(2)[::-1]),
+        )
+        assert spec.branching == (3, 2) and spec.axis_order == (1, 0)
+        assert all(type(v) is int for v in spec.branching + spec.axis_order)
+        assert PartitionSpec(depth=2, branching=np.int64(4)).branching == (4, 4)
 
     def test_branching_stored_per_level(self):
         assert PartitionSpec(depth=3, branching=4).branching == (4, 4, 4)

@@ -11,7 +11,7 @@ from hellfit.bayes_threshold import (
     hellinger_alpha_approx,
     threshold_report,
 )
-from hellfit.divergence import generator_by_name
+from hellfit.divergence import alpha_generator, generator_by_name
 
 HELLINGER = generator_by_name("hellinger")
 CHI2 = generator_by_name("chi2")
@@ -57,7 +57,77 @@ class TestCapitalDeltaStar:
             capital_delta_star(HELLINGER, 0.0)
 
 
+def brentq_delta_star(f, delta):
+    """Reference Delta*: the root of the defining equation, bracketed by
+    doubling from 1 and found by brentq; inf past a 1e15 cutoff."""
+    from scipy.optimize import brentq
+
+    f0 = f.evaluate(0.0)
+
+    def g(d):
+        return float(f.evaluate(d)) / d + (1 - 1 / d) * f0 - delta
+
+    hi = 2.0
+    while g(hi) < 0:
+        hi *= 2.0
+        if hi > 1e15:
+            return math.inf
+    return brentq(g, 1.0, hi, xtol=1e-12, rtol=4 * np.finfo(float).eps)
+
+
+class TestClosedForm:
+    @pytest.mark.parametrize("alpha", [-0.5, 0.0, 0.5, 2.0, 3.0, 5.0])
+    def test_matches_root_finder(self, alpha):
+        f = alpha_generator(alpha)
+        compared = 0
+        for delta in np.geomspace(1e-6, 50.0, 60):
+            reference = brentq_delta_star(f, float(delta))
+            if math.isfinite(reference):
+                compared += 1
+                star = capital_delta_star(f, float(delta))
+                assert star.feasible
+                assert star.value == pytest.approx(reference, rel=1e-9)
+        assert compared >= 30
+
+    def test_exact_identities(self):
+        for delta in (1e-8, 0.02, 0.3, 1.0, 3.5):
+            assert capital_delta_star(HELLINGER, delta).value == pytest.approx(
+                (1 - delta / 4) ** -2, rel=1e-14
+            )
+            assert capital_delta_star(CHI2, delta).value == pytest.approx(
+                1 + 2 * delta, rel=1e-14
+            )
+            assert capital_delta_star(REVERSE_KL, delta).value == pytest.approx(
+                math.exp(delta), rel=1e-14
+            )
+
+    def test_finite_beyond_the_old_cutoff(self):
+        # 1 - 20 (0.1)(1.9)/4 = 1/20, so Delta* = 20^20
+        star = capital_delta_star(alpha_generator(0.9), 20.0)
+        assert star.feasible and star.value == pytest.approx(20.0**20, rel=1e-9)
+        assert math.isinf(brentq_delta_star(alpha_generator(0.9), 20.0))
+
+    def test_no_cancellation_next_to_the_pole(self):
+        star = capital_delta_star(alpha_generator(1 - 1e-6), 0.02)
+        assert star.value == pytest.approx(math.exp(0.02), rel=1e-7)
+
+    @pytest.mark.parametrize("alpha, delta", [(1.0, 1000.0), (3.0, 1e308), (0.0, 4.0)])
+    def test_overflow_and_saturation_are_inf(self, alpha, delta):
+        star = capital_delta_star(alpha_generator(alpha), delta)
+        assert math.isinf(star.value) and star.feasible
+
+    def test_alpha_below_minus_one_infeasible(self):
+        star = capital_delta_star(alpha_generator(-3.0), 0.1)
+        assert star == (1.0, False)
+
+
 class TestASetInfimum:
+    def test_hellinger_two_point_oracle(self):
+        # the infimum is reached at the symmetric two-point pair
+        for delta in np.geomspace(0.001, 3.9, 40):
+            expected = 0.5 * (1 - math.sqrt(1 - (1 - delta / 4) ** 2))
+            assert a_set_infimum(HELLINGER, float(delta)) == pytest.approx(expected, abs=1e-9)
+
     def test_matches_approximation_small_delta(self):
         got = a_set_infimum(HELLINGER, 0.02)
         assert got == pytest.approx(hellinger_alpha_approx(0.02), abs=0.005)
