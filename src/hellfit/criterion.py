@@ -128,7 +128,12 @@ def ks_two_sample(x, y) -> tuple[float, float]:
     """Two-sided two-sample Kolmogorov-Smirnov statistic and asymptotic p-value.
 
     The p-value uses the limiting Kolmogorov distribution evaluated at
-    sqrt(nx ny / (nx + ny)) times the statistic.
+    sqrt(nx ny / (nx + ny)) times the statistic.  Both samples must be
+    non-empty and finite.
+
+    The two sorted samples are merged by one stable argsort; the empirical
+    CDFs are running counts, read at the last element of each run of tied
+    values, where both count every point at or below that value.
     """
     from scipy.special import kolmogorov  # imported here: the CLI loads this module on start
 
@@ -136,10 +141,15 @@ def ks_two_sample(x, y) -> tuple[float, float]:
     y = np.sort(np.asarray(y, dtype=float).ravel())
     if x.size == 0 or y.size == 0:
         raise ValueError("both samples must be non-empty")
+    if not (np.isfinite(x[[0, -1]]).all() and np.isfinite(y[[0, -1]]).all()):
+        raise ValueError("both samples must be finite")  # sorting puts nan and inf last or -inf first
     pooled = np.concatenate([x, y])
-    cdf_x = np.searchsorted(x, pooled, side="right") / x.size
-    cdf_y = np.searchsorted(y, pooled, side="right") / y.size
-    statistic = float(np.max(np.abs(cdf_x - cdf_y)))
+    order = np.argsort(pooled, kind="stable")
+    merged = pooled[order]
+    ends = np.flatnonzero(np.append(merged[1:] != merged[:-1], True))  # last of each run of ties
+    below_x = np.cumsum(order < x.size)[ends]
+    below_y = ends + 1 - below_x
+    statistic = float(np.max(np.abs(below_x / x.size - below_y / y.size)))
     effective = x.size * y.size / (x.size + y.size)
     p_value = float(kolmogorov(math.sqrt(effective) * statistic))
     return statistic, p_value

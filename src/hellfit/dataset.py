@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-import warnings
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -77,16 +77,32 @@ def load_dataset(path, bounds=None) -> Dataset:
     A single non-numeric first line is treated as a header.  Row and column
     indices in error messages are 1-based.
 
-    The data rows are parsed by one vectorized ``np.loadtxt`` call over the
-    lines ``str.splitlines`` gives.  When that call fails, warns or yields a
-    non-finite value, the line-by-line parse alone decides the values or the
-    error, so results and messages are those of the line-by-line parse.
+    Numbers are read by one vectorized decimal parser over blocks of about
+    ``_BLOCK_BYTES`` bytes, each cut at a line end, straight into one
+    column-major array; it gives exactly the values ``float()`` gives.  A
+    plain file (ASCII, no line break but ``\\n``) is streamed from disk; any
+    other file is first normalized the way the line parse reads it
+    (``read_text``, ``splitlines``, whitespace-only lines dropped).
+
+    A cell ``[+-]?digits[.digits]([eE][+-]?d{1,3})?`` of at most ``_CELL``
+    bytes whose digits form an integer M < 10**19 is M times 10**q, where q
+    is the exponent net of the fraction digits.  For |q| <= 27, M and 10**|q| are
+    exact in the x87 extended long double (64-bit significand), so M * 10**q
+    or M / 10**-q rounds once, and rounding that again to a double is correct
+    unless it lies exactly halfway between two doubles.  Halfway results,
+    every other cell, and every cell on a platform whose long double is not
+    x87 extended are converted one at a time with ``float()``.
+
+    When the rows are ragged, a cell is not a finite number, or no data row
+    is left after the header, the line-by-line parse alone decides the
+    values or the error.
     """
-    text = Path(path).read_text()
-    lines = text.splitlines()
-    values = _parse_vectorized(text, lines)
+    values = _parse_blocks(*_plain_blocks(path))
     if values is None:
-        values = _parse_by_line(path, lines)
+        lines = Path(path).read_text().splitlines()
+        values = _parse_blocks(*_normalized_blocks(lines))
+        if values is None:
+            values = _parse_by_line(path, lines)
     return Dataset(values, tuple(bounds) if bounds else ())
 
 
@@ -101,28 +117,194 @@ def _is_header(line):
     return not any(numeric(cell) for cell in line.split(","))
 
 
-def _parse_vectorized(text, lines):
-    """The data rows of ``text`` as a finite float matrix, or None to defer to the line parse."""
-    first = next((i for i, line in enumerate(lines) if line.strip() != ""), None)
-    if first is None:
+_BLOCK_BYTES = 1 << 20
+_NOT_PLAIN = (b"\r", b"\x0b", b"\x0c", b"\x1c", b"\x1d", b"\x1e")  # line breaks but \n
+
+
+def _plain_blocks(path):
+    """(line count, blocks of whole lines) of a plain file, or (0, None).
+
+    One pass reads the file to check that it is plain and to count its lines;
+    the blocks are read in a second pass, so neither holds the whole file.
+    An empty line needs no check: its one cell is "", which ``float()``
+    rejects, so the block parse defers it.
+    """
+    lines, last = 0, b"\n"
+    with open(path, "rb") as fh:
+        while chunk := fh.read(_BLOCK_BYTES):
+            if not chunk.isascii() or any(mark in chunk for mark in _NOT_PLAIN):
+                return 0, None
+            lines += chunk.count(b"\n")
+            last = chunk[-1:]
+    return lines + (last != b"\n"), _file_blocks(path)
+
+
+def _file_blocks(path):
+    tail = b""
+    with open(path, "rb") as fh:
+        while chunk := fh.read(_BLOCK_BYTES):
+            block = tail + chunk
+            cut = block.rfind(b"\n") + 1
+            if cut:
+                yield memoryview(block)[:cut]
+            tail = block[cut:]
+    if tail:
+        yield tail + b"\n"
+
+
+def _normalized_blocks(lines):
+    """(line count, blocks of whole lines) of the data rows the line parse reads."""
+    kept = [line for line in lines if line.strip() != ""]
+    data = "".join(line + "\n" for line in kept).encode()
+    view, blocks, at = memoryview(data), [], 0
+    while at < len(data):
+        cut = (data.rfind(b"\n", at, at + _BLOCK_BYTES) + 1) or (data.find(b"\n", at) + 1)
+        blocks.append(view[at:cut])
+        at = cut
+    return len(kept), blocks
+
+
+def _parse_blocks(lines, blocks):
+    """The data rows of ``blocks`` as a column-major float matrix, or None.
+
+    ``blocks`` hold ``lines`` whole lines, none blank, each ending in ``\\n``.
+    None defers to the line parse: ragged rows, a cell ``float()`` rejects or
+    reads as non-finite, no data row, or a file that is not plain (None
+    blocks).
+    """
+    if blocks is None:
         return None
-    if _is_header(lines[first]):
-        first += 1
-    # the line parse skips blank and whitespace-only lines; numpy would fail on them
-    rows = [line for line in lines[first:] if line.strip() != ""]
-    # numpy strips \x1f around a number and float() does not (\x1c-\x1e,
-    # which numpy strips too, already end a line here)
-    if "\x1f" in text and any("\x1f" in row for row in rows):
+    columns, at = None, 0  # columns: (k, rows), so its transpose is column-major
+    for number, block in enumerate(blocks):
+        buf = np.frombuffer(block, np.uint8)
+        if number == 0:  # the first line may be a header
+            first = int(np.argmax(buf == 10))
+            if _is_header(bytes(block[:first]).decode()):
+                buf, lines = buf[first + 1 :], lines - 1
+        ends = np.flatnonzero((buf == 44) | (buf == 10))
+        breaks = buf[ends] == 10
+        rows = np.count_nonzero(breaks)
+        if rows == 0:
+            continue
+        k = ends.size // rows
+        if columns is None:
+            columns = np.empty((k, lines))
+        if k != columns.shape[0] or k * rows != ends.size or not breaks[k - 1 :: k].all():
+            return None
+        values = _cell_values(buf, ends)
+        if values is None or at + rows > lines:
+            return None
+        columns[:, at : at + rows] = values.reshape(rows, k).T
+        at += rows
+    if columns is None or at != lines:
         return None
-    # Lines, not a file: numpy would not break lines where str.splitlines does
-    # (\x0b, \x0c, \x1c-\x1e, \x85, \u2028, \u2029).
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            values = np.loadtxt(rows, delimiter=",", comments=None, ndmin=2, dtype=float)
-    except (ValueError, Warning):
-        return None
-    return values if np.isfinite(values).all() else None
+    return columns.T
+
+
+_CELL = 24  # bytes of a cell the vectorized parse reads; longer cells go to float()
+_POW10 = np.array([10**q for q in range(28)], dtype=np.longdouble)  # exact: 5**27 < 2**64
+_POW10_INT = np.array([10**q for q in range(9)], dtype=np.uint64)  # digits of one chunk
+_POW10_FLOAT = 10.0 ** np.arange(17)
+# x87 extended precision: a 64-bit significand in the low 8 bytes of each long double
+_EXTENDED = np.finfo(np.longdouble).nmant == 63 and sys.byteorder == "little"
+
+
+def _cell_values(buf, ends):
+    """``float()`` of every cell of ``buf``, bit for bit, or None if one is rejected or not finite.
+
+    Cell i is ``buf[ends[i - 1] + 1 : ends[i]]`` (the first starts at 0).
+    """
+    n = ends.size
+    starts = np.empty_like(ends)
+    starts[0], starts[1:] = 0, ends[:-1] + 1
+    sizes = np.minimum(ends - starts, _CELL + 1).astype(np.uint8)
+    width = int(np.clip(sizes.max(), 1, _CELL))
+    chars = np.empty((width, n), np.uint8)  # chars[r, i]: byte r of cell i
+    for r in range(width):
+        np.take(buf, starts + r, out=chars[r], mode="clip")
+    bad = sizes > _CELL
+
+    # the exponent, [eE][+-]?d{1,3}, parsed where a cell has an e at all
+    stop = sizes.copy()  # where the mantissa stops
+    power = np.zeros(n, np.int64)
+    has_e = np.zeros(n, bool)
+    for row in chars:
+        has_e |= (row | 32) == 101
+    cells = np.flatnonzero(has_e)
+    if cells.size:
+        sub = chars[:, cells].astype(np.int64)
+        at = np.argmax((sub | 32) == 101, axis=0)
+        inside = at < sizes[cells]  # the e found may lie in a later cell
+        cells, sub, at = cells[inside], sub[:, inside], at[inside]
+        cols = np.arange(cells.size)
+        first = sub[np.minimum(at + 1, width - 1), cols]
+        signed = (first == 43) | (first == 45)
+        count = sizes[cells] - at - 1 - signed
+        ok = (count >= 1) & (count <= 3)
+        value = np.zeros(cells.size, np.int64)
+        for j in range(3):
+            digit = sub[np.minimum(at + 1 + signed + j, width - 1), cols] - 48
+            used = j < count
+            ok &= ~used | ((digit >= 0) & (digit <= 9))
+            value = value * (1 + 9 * used) + digit * used
+        power[cells] = np.where(first == 45, -value, value)
+        bad[cells] |= ~ok
+        stop[cells] = at
+
+    # the mantissa, [+-]?digits[.digits]: M in three uint32 chunks of 8 rows
+    negative = chars[0] == 45
+    signed = negative | (chars[0] == 43)
+    chunks = np.zeros((3, n), np.uint32)
+    counts = np.zeros((3, n), np.uint8)  # digits per chunk
+    points = np.zeros(n, np.uint8)
+    fraction = np.zeros(n, np.uint8)  # digits after the point
+    seen = np.zeros(n, bool)  # the point
+    for r in range(width):
+        ch = chars[r]
+        inside = stop > r
+        digit = ch - np.uint8(48)
+        is_digit = (digit < 10) & inside
+        is_point = (ch == 46) & inside
+        ok = is_digit | is_point
+        bad |= inside ^ (ok | signed if r == 0 else ok)
+        points += is_point
+        fraction += is_digit & seen
+        seen |= is_point
+        counts[r // 8] += is_digit
+        chunks[r // 8] *= 1 + 9 * is_digit.view(np.uint8)
+        chunks[r // 8] += digit * is_digit
+    # M < 10**19 < 2**64 (leading zeros aside, at most 19 digits); checked
+    # in floats, whose relative error is far below the margin to 2**64
+    size = chunks[0] * _POW10_FLOAT[counts[1] + counts[2]] + chunks[1] * _POW10_FLOAT[counts[2]]
+    size += chunks[2]
+    power -= fraction
+    bad |= (points > 1) | (counts.sum(axis=0) == 0) | (size >= 1e19) | (np.abs(power) > 27)
+    bad |= not _EXTENDED
+    mantissa = chunks[0].astype(np.uint64)
+    for chunk, count in zip(chunks[1:], counts[1:]):
+        mantissa *= _POW10_INT[count]
+        mantissa += chunk
+
+    # M and 10**|q| are exact in the x87 format (64-bit significand), so the
+    # product or quotient rounds once; rounding it to a double is correct
+    # unless its low 11 bits are exactly 0b10000000000 (halfway between two
+    # doubles), where it may be the rounding of a value that is not.
+    scale = _POW10[np.abs(power) * ~bad]
+    wide = mantissa.astype(np.longdouble) / scale
+    np.multiply(mantissa, scale, out=wide, where=power > 0)
+    bad |= (wide.view(np.uint64)[::2] & 0x7FF) == 0x400
+    values = wide.astype(np.float64)
+    np.negative(values, out=values, where=negative)
+
+    for i in np.flatnonzero(bad):
+        try:
+            value = float(buf[starts[i] : ends[i]].tobytes().decode())
+        except ValueError:
+            return None
+        if not np.isfinite(value):
+            return None
+        values[i] = value
+    return values
 
 
 def _parse_by_line(path, lines):

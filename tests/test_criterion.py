@@ -1,8 +1,10 @@
 import json
 import math
+import struct
 
 import numpy as np
 import pytest
+import scipy.special
 import scipy.stats
 
 from hellfit.criterion import (
@@ -317,6 +319,41 @@ class TestKsTwoSample:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             ks_two_sample([], [1.0])
+
+    @pytest.mark.parametrize(
+        "x, y",
+        [([math.nan, 1.0], [0.0, 1.0]), ([math.nan], [math.nan]), ([1.0], [math.inf]),
+         ([-math.inf, 0.0], [1.0])],
+    )
+    def test_non_finite_rejected(self, x, y):
+        with pytest.raises(ValueError, match="both samples must be finite"):
+            ks_two_sample(x, y)
+        with pytest.raises(ValueError, match="both samples must be finite"):
+            ks_two_sample(y, x)
+
+    @staticmethod
+    def searchsorted_statistic(x, y):
+        """The statistic from both empirical CDFs at every pooled point."""
+        x, y = np.sort(np.asarray(x, dtype=float)), np.sort(np.asarray(y, dtype=float))
+        pooled = np.concatenate([x, y])
+        cdf_x = np.searchsorted(x, pooled, side="right") / x.size
+        cdf_y = np.searchsorted(y, pooled, side="right") / y.size
+        return float(np.max(np.abs(cdf_x - cdf_y)))
+
+    def test_merge_matches_searchsorted_bit_for_bit(self):
+        rng = RngStream(15).generator()
+        atoms = np.array([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, 1.0, np.nextafter(1.0, 2.0)])
+        for trial in range(400):
+            nx, ny = rng.integers(1, 60, size=2)
+            if trial % 2:  # ties, signed zeros and subnormals
+                x, y = rng.choice(atoms, nx), rng.choice(atoms, ny)
+            else:
+                x, y = rng.standard_normal(nx).round(1), rng.standard_normal(ny).round(1)
+            stat, p = ks_two_sample(x, y)
+            ref = self.searchsorted_statistic(x, y)
+            assert struct.pack("<d", stat) == struct.pack("<d", ref)
+            en = nx * ny / (nx + ny)
+            assert p == float(scipy.special.kolmogorov(math.sqrt(en) * ref))
 
 
 class TestFitnessReportShape:

@@ -13,6 +13,9 @@ f(0) from ``evaluate``.
 
 And every public function or class is either read somewhere in the package or
 exported in ``hellfit.__all__``: a name that only tests call is dead code.
+
+Numbers are parsed from text in ``dataset.py`` alone, by its block parser: no
+module calls numpy's text readers, whose conversions differ from ``float()``.
 """
 
 import ast
@@ -196,3 +199,35 @@ def test_every_public_name_is_used_or_exported():
 )
 def test_checker_flags_unused_public_names(sources, exported, expected):
     assert unused_public_names(sources, exported) == expected
+
+
+TEXT_READERS = {"loadtxt", "genfromtxt", "fromstring"}
+
+
+def text_reader_calls(source: str) -> list[str]:
+    """Calls in ``source`` of numpy's text-to-number readers, by any name."""
+    return [
+        f"{name}:{node.lineno}"
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call)
+        and (name := node.func.attr if isinstance(node.func, ast.Attribute) else _dotted(node.func))
+        in TEXT_READERS
+    ]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda path: path.name)
+def test_no_module_calls_numpy_text_readers(path):
+    assert text_reader_calls(path.read_text()) == []
+
+
+@pytest.mark.parametrize(
+    "source, expected",
+    [
+        ("np.loadtxt(rows, delimiter=',')", ["loadtxt:1"]),
+        ("import numpy\nnumpy.genfromtxt(path)", ["genfromtxt:2"]),
+        ("from numpy import fromstring\nfromstring(text, sep=',')", ["fromstring:2"]),
+        ("np.frombuffer(block, np.uint8)\nloadtxt = None\nx.loadtxt", []),
+    ],
+)
+def test_checker_flags_text_reader_calls(source, expected):
+    assert text_reader_calls(source) == expected
