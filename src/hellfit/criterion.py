@@ -141,9 +141,9 @@ def ks_two_sample(x, y) -> tuple[float, float]:
     y = np.sort(np.asarray(y, dtype=float).ravel())
     if x.size == 0 or y.size == 0:
         raise ValueError("both samples must be non-empty")
-    if not (np.isfinite(x[[0, -1]]).all() and np.isfinite(y[[0, -1]]).all()):
-        raise ValueError("both samples must be finite")  # sorting puts nan and inf last or -inf first
     pooled = np.concatenate([x, y])
+    if not np.isfinite(pooled).all():
+        raise ValueError("both samples must be finite")
     order = np.argsort(pooled, kind="stable")
     merged = pooled[order]
     ends = np.flatnonzero(np.append(merged[1:] != merged[:-1], True))  # last of each run of ties

@@ -97,10 +97,13 @@ def load_dataset(path, bounds=None) -> Dataset:
     is left after the header, the line-by-line parse alone decides the
     values or the error.
     """
-    values = _parse_blocks(*_plain_blocks(path))
+    count = _plain_line_count(path)
+    values = None if count is None else _parse_blocks(count, _file_blocks(path))
     if values is None:
         lines = Path(path).read_text().splitlines()
-        values = _parse_blocks(*_normalized_blocks(lines))
+        kept = [line for line in lines if line.strip() != ""]
+        if count is None or len(kept) < count:  # else the normalized text is the file's
+            values = _parse_blocks(len(kept), _text_blocks(kept))
         if values is None:
             values = _parse_by_line(path, lines)
     return Dataset(values, tuple(bounds) if bounds else ())
@@ -121,25 +124,25 @@ _BLOCK_BYTES = 1 << 20
 _NOT_PLAIN = (b"\r", b"\x0b", b"\x0c", b"\x1c", b"\x1d", b"\x1e")  # line breaks but \n
 
 
-def _plain_blocks(path):
-    """(line count, blocks of whole lines) of a plain file, or (0, None).
+def _plain_line_count(path):
+    """The number of lines of a plain file, or None if it is not plain.
 
-    One pass reads the file to check that it is plain and to count its lines;
-    the blocks are read in a second pass, so neither holds the whole file.
-    An empty line needs no check: its one cell is "", which ``float()``
-    rejects, so the block parse defers it.
+    Reads the file in blocks, so it is never held whole.  An empty line needs
+    no check: its one cell is "", which ``float()`` rejects, so the block
+    parse defers it.
     """
     lines, last = 0, b"\n"
     with open(path, "rb") as fh:
         while chunk := fh.read(_BLOCK_BYTES):
             if not chunk.isascii() or any(mark in chunk for mark in _NOT_PLAIN):
-                return 0, None
+                return None
             lines += chunk.count(b"\n")
             last = chunk[-1:]
-    return lines + (last != b"\n"), _file_blocks(path)
+    return lines + (last != b"\n")
 
 
 def _file_blocks(path):
+    """The file's bytes in blocks of whole lines; a last line without ``\\n`` gets one."""
     tail = b""
     with open(path, "rb") as fh:
         while chunk := fh.read(_BLOCK_BYTES):
@@ -152,28 +155,23 @@ def _file_blocks(path):
         yield tail + b"\n"
 
 
-def _normalized_blocks(lines):
-    """(line count, blocks of whole lines) of the data rows the line parse reads."""
-    kept = [line for line in lines if line.strip() != ""]
-    data = "".join(line + "\n" for line in kept).encode()
-    view, blocks, at = memoryview(data), [], 0
+def _text_blocks(lines):
+    """``lines``, each ended by ``\\n`` and UTF-8 encoded, in blocks of whole lines."""
+    data = "".join(line + "\n" for line in lines).encode()
+    view, at = memoryview(data), 0
     while at < len(data):
         cut = (data.rfind(b"\n", at, at + _BLOCK_BYTES) + 1) or (data.find(b"\n", at) + 1)
-        blocks.append(view[at:cut])
+        yield view[at:cut]
         at = cut
-    return len(kept), blocks
 
 
 def _parse_blocks(lines, blocks):
     """The data rows of ``blocks`` as a column-major float matrix, or None.
 
-    ``blocks`` hold ``lines`` whole lines, none blank, each ending in ``\\n``.
-    None defers to the line parse: ragged rows, a cell ``float()`` rejects or
-    reads as non-finite, no data row, or a file that is not plain (None
-    blocks).
+    ``blocks`` hold ``lines`` whole lines, each ending in ``\\n``.  None
+    defers to the line parse: ragged rows, a cell ``float()`` rejects or
+    reads as non-finite, or no data row.
     """
-    if blocks is None:
-        return None
     columns, at = None, 0  # columns: (k, rows), so its transpose is column-major
     for number, block in enumerate(blocks):
         buf = np.frombuffer(block, np.uint8)

@@ -83,6 +83,12 @@ def test_kernel_matches_float():
     kernel_matches_float()
 
 
+def test_powers_of_ten_are_exact():
+    if not dataset._EXTENDED:
+        pytest.skip("long double has no 64-bit significand here")
+    assert [int(power) for power in dataset._POW10] == [10**q for q in range(28)]
+
+
 def test_kernel_matches_float_without_long_double(monkeypatch):
     monkeypatch.setattr(dataset, "_EXTENDED", False)
     kernel_matches_float()
@@ -115,6 +121,11 @@ def test_midpoints_reach_the_float_route(monkeypatch):
 
 
 @pytest.fixture
+def csv_path(tmp_path):
+    return tmp_path / "data.csv"
+
+
+@pytest.fixture
 def tiny_blocks(monkeypatch):
     monkeypatch.setattr(dataset, "_BLOCK_BYTES", 5)
 
@@ -143,8 +154,3 @@ def test_well_formed_input_in_tiny_blocks(csv_path, tiny_blocks, monkeypatch, te
 
 def test_underscore_digits_in_tiny_blocks(csv_path, tiny_blocks):
     oracle.test_underscore_digits_fall_back(csv_path)
-
-
-@pytest.fixture
-def csv_path(tmp_path):
-    return tmp_path / "data.csv"
