@@ -27,6 +27,7 @@ def reference(cells):
     return values if np.isfinite(values).all() else None
 
 
+x87 = pytest.mark.skipif(not dataset._EXTENDED, reason="long double is not x87 extended here")
 finite = st.floats(allow_nan=False, allow_infinity=False)
 
 
@@ -47,7 +48,7 @@ def midpoints(draw):
     last decimal digit away, written with as few digits as it takes."""
     odd = draw(st.integers(2**53, 2**54 - 1)) | 1  # 54 significant bits: a midpoint
     exact = Decimal(odd) * Decimal(2) ** draw(st.integers(-8, 12))
-    sign, digits, exponent = exact.normalize().as_tuple()
+    _, digits, exponent = exact.normalize().as_tuple()
     mantissa = int("".join(map(str, digits))) + draw(st.sampled_from([-1, 0, 0, 1]))
     return f"{mantissa}e{exponent}"
 
@@ -77,15 +78,13 @@ def kernel_matches_float(cells):
     assert kernel(cells).tobytes() == reference(cells).tobytes()
 
 
+@x87
 def test_kernel_matches_float():
-    if not dataset._EXTENDED:
-        pytest.skip("long double has no 64-bit significand here")
     kernel_matches_float()
 
 
+@x87
 def test_powers_of_ten_are_exact():
-    if not dataset._EXTENDED:
-        pytest.skip("long double has no 64-bit significand here")
     assert [int(power) for power in dataset._POW10] == [10**q for q in range(28)]
 
 
@@ -107,6 +106,7 @@ def test_kernel_defers_what_float_rejects_or_reads_otherwise(cells):
         assert got.tobytes() == expected.tobytes()
 
 
+@x87
 def test_midpoints_reach_the_float_route(monkeypatch):
     # 2**53 + 1 is halfway between two doubles; the kernel must not decide it
     calls = []
