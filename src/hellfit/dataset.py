@@ -78,11 +78,12 @@ def load_dataset(path, bounds=None) -> Dataset:
     indices in error messages are 1-based.
 
     Numbers are read by one vectorized decimal parser over blocks of about
-    ``_BLOCK_BYTES`` bytes, each cut at a line end, straight into one
-    column-major array; it gives exactly the values ``float()`` gives.  A
-    plain file (ASCII, no line break but ``\\n``) is streamed from disk; any
-    other file is first normalized the way the line parse reads it
-    (``read_text``, ``splitlines``, whitespace-only lines dropped).
+    ``_BLOCK_BYTES`` bytes, each cut at a line end, whose columns are joined
+    once into a column-major array; it gives exactly the values ``float()``
+    gives.  A plain file (ASCII, no line break but ``\\n``) is read from disk
+    once, block by block, and never held whole; any other file is first
+    normalized the way the line parse reads it (``read_text``,
+    ``splitlines``, whitespace-only lines dropped).
 
     A cell ``[+-]?digits[.digits]([eE][+-]?d{1,3})?`` of at most ``_CELL``
     bytes whose digits form an integer M < 10**19 is M times 10**q, where q
@@ -91,19 +92,22 @@ def load_dataset(path, bounds=None) -> Dataset:
     or M / 10**-q rounds once, and rounding that again to a double is correct
     unless it lies exactly halfway between two doubles.  Halfway results,
     every other cell, and every cell on a platform whose long double is not
-    x87 extended are converted one at a time with ``float()``.
+    the 16-byte x87 extended format are converted one at a time with
+    ``float()``.
 
     When the rows are ragged, a cell is not a finite number, or no data row
     is left after the header, the line-by-line parse alone decides the
     values or the error.
     """
-    count = _plain_line_count(path)
-    values = None if count is None else _parse_blocks(count, _file_blocks(path))
+    try:
+        values, plain = _parse_blocks(_file_blocks(path)), True
+    except _NotPlain:
+        values, plain = None, False
     if values is None:
         lines = Path(path).read_text().splitlines()
         kept = [line for line in lines if line.strip() != ""]
-        if count is None or len(kept) < count:  # else the normalized text is the file's
-            values = _parse_blocks(len(kept), _text_blocks(kept))
+        if not plain or len(kept) < len(lines):  # else the normalized text is the file's
+            values = _parse_blocks(_text_blocks(kept))
         if values is None:
             values = _parse_by_line(path, lines)
     return Dataset(values, tuple(bounds) if bounds else ())
@@ -124,28 +128,22 @@ _BLOCK_BYTES = 1 << 20
 _NOT_PLAIN = (b"\r", b"\x0b", b"\x0c", b"\x1c", b"\x1d", b"\x1e")  # line breaks but \n
 
 
-def _plain_line_count(path):
-    """The number of lines of a plain file, or None if it is not plain.
-
-    Reads the file in blocks, so it is never held whole.  An empty line needs
-    no check: its one cell is "", which ``float()`` rejects, so the block
-    parse defers it.
-    """
-    lines, last = 0, b"\n"
-    with open(path, "rb") as fh:
-        while chunk := fh.read(_BLOCK_BYTES):
-            if not chunk.isascii() or any(mark in chunk for mark in _NOT_PLAIN):
-                return None
-            lines += chunk.count(b"\n")
-            last = chunk[-1:]
-    return lines + (last != b"\n")
+class _NotPlain(Exception):
+    """A file whose bytes are not its normalized text: it must be normalized first."""
 
 
 def _file_blocks(path):
-    """The file's bytes in blocks of whole lines; a last line without ``\\n`` gets one."""
+    """The bytes of a plain file in blocks of whole lines; a last line without ``\\n`` gets one.
+
+    Raises _NotPlain at the first block that is not ASCII or holds a line
+    break but ``\\n``.  An empty line needs no check: its one cell is "",
+    which ``float()`` rejects, so the block parse defers it.
+    """
     tail = b""
     with open(path, "rb") as fh:
         while chunk := fh.read(_BLOCK_BYTES):
+            if not chunk.isascii() or any(mark in chunk for mark in _NOT_PLAIN):
+                raise _NotPlain
             block = tail + chunk
             cut = block.rfind(b"\n") + 1
             if cut:
@@ -165,46 +163,48 @@ def _text_blocks(lines):
         at = cut
 
 
-def _parse_blocks(lines, blocks):
+def _parse_blocks(blocks):
     """The data rows of ``blocks`` as a column-major float matrix, or None.
 
-    ``blocks`` hold ``lines`` whole lines, each ending in ``\\n``.  None
-    defers to the line parse: ragged rows, a cell ``float()`` rejects or
-    reads as non-finite, or no data row.
+    Each block holds whole lines, each ending in ``\\n``.  None defers to the
+    line parse: ragged rows, a cell ``float()`` rejects or reads as
+    non-finite, or no data row.
     """
-    columns, at = None, 0  # columns: (k, rows), so its transpose is column-major
+    columns = []  # (k, rows) per block, so the transpose of their join is column-major
     for number, block in enumerate(blocks):
         buf = np.frombuffer(block, np.uint8)
         if number == 0:  # the first line may be a header
             first = int(np.argmax(buf == 10))
             if _is_header(bytes(block[:first]).decode()):
-                buf, lines = buf[first + 1 :], lines - 1
+                buf = buf[first + 1 :]
         ends = np.flatnonzero((buf == 44) | (buf == 10))
         breaks = buf[ends] == 10
         rows = np.count_nonzero(breaks)
         if rows == 0:
             continue
         k = ends.size // rows
-        if columns is None:
-            columns = np.empty((k, lines))
-        if k != columns.shape[0] or k * rows != ends.size or not breaks[k - 1 :: k].all():
+        ragged = k * rows != ends.size or not breaks[k - 1 :: k].all()
+        if ragged or (columns and k != columns[0].shape[0]):
             return None
         values = _cell_values(buf, ends)
-        if values is None or at + rows > lines:
+        if values is None:
             return None
-        columns[:, at : at + rows] = values.reshape(rows, k).T
-        at += rows
-    if columns is None or at != lines:
+        columns.append(values.reshape(rows, k).T)
+    if not columns:
         return None
-    return columns.T
+    return np.concatenate(columns, axis=1).T
 
 
 _CELL = 24  # bytes of a cell the vectorized parse reads; longer cells go to float()
 _POW10 = np.array([10**q for q in range(28)], dtype=np.longdouble)  # exact: 5**27 < 2**64
 _POW10_INT = np.array([10**q for q in range(9)], dtype=np.uint64)  # digits of one chunk
 _POW10_FLOAT = 10.0 ** np.arange(17)
-# x87 extended precision: a 64-bit significand in the low 8 bytes of each long double
-_EXTENDED = np.finfo(np.longdouble).nmant == 63 and sys.byteorder == "little"
+# x87 extended precision: a 64-bit significand in the low 8 of 16 bytes per long double
+_EXTENDED = (
+    np.finfo(np.longdouble).nmant == 63
+    and np.dtype(np.longdouble).itemsize == 16
+    and sys.byteorder == "little"
+)
 
 
 def _cell_values(buf, ends):
@@ -215,6 +215,27 @@ def _cell_values(buf, ends):
     n = ends.size
     starts = np.empty_like(ends)
     starts[0], starts[1:] = 0, ends[:-1] + 1
+    if _EXTENDED:
+        values, bad = _decimal_values(buf, starts, ends)
+    else:
+        values, bad = np.empty(n), np.ones(n, bool)
+    for i in np.flatnonzero(bad):
+        try:
+            value = float(buf[starts[i] : ends[i]].tobytes().decode())
+        except ValueError:
+            return None
+        if not np.isfinite(value):
+            return None
+        values[i] = value
+    return values
+
+
+def _decimal_values(buf, starts, ends):
+    """The cells in the vectorized grammar as doubles, and a mask of the others.
+
+    Needs the x87 extended long double; the values of masked cells mean nothing.
+    """
+    n = ends.size
     sizes = np.minimum(ends - starts, _CELL + 1).astype(np.uint8)
     width = int(np.clip(sizes.max(), 1, _CELL))
     chars = np.empty((width, n), np.uint8)  # chars[r, i]: byte r of cell i
@@ -277,7 +298,6 @@ def _cell_values(buf, ends):
     size += chunks[2]
     power -= fraction
     bad |= (points > 1) | (counts.sum(axis=0) == 0) | (size >= 1e19) | (np.abs(power) > 27)
-    bad |= not _EXTENDED
     mantissa = chunks[0].astype(np.uint64)
     for chunk, count in zip(chunks[1:], counts[1:]):
         mantissa *= _POW10_INT[count]
@@ -293,16 +313,7 @@ def _cell_values(buf, ends):
     bad |= (wide.view(np.uint64)[::2] & 0x7FF) == 0x400
     values = wide.astype(np.float64)
     np.negative(values, out=values, where=negative)
-
-    for i in np.flatnonzero(bad):
-        try:
-            value = float(buf[starts[i] : ends[i]].tobytes().decode())
-        except ValueError:
-            return None
-        if not np.isfinite(value):
-            return None
-        values[i] = value
-    return values
+    return values, bad
 
 
 def _parse_by_line(path, lines):

@@ -89,7 +89,11 @@ def test_powers_of_ten_are_exact():
 
 
 def test_kernel_matches_float_without_long_double(monkeypatch):
+    def unusable(*args):
+        raise AssertionError("the long double kernel ran without x87 extended precision")
+
     monkeypatch.setattr(dataset, "_EXTENDED", False)
+    monkeypatch.setattr(dataset, "_decimal_values", unusable)
     kernel_matches_float()
 
 
