@@ -188,7 +188,7 @@ def _run_threshold(args):
 
 
 def _run_simulate(args):
-    from hellfit import mc_validate  # scipy.stats, for simulate and validate only
+    from hellfit import mc_validate  # for simulate and validate only
 
     rows = mc_validate.reproduce_table(
         args.table,

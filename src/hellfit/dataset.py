@@ -192,7 +192,8 @@ def _parse_blocks(blocks):
         columns.append(values.reshape(rows, k).T)
     if not columns:
         return None
-    return np.concatenate(columns, axis=1).T
+    joined = np.empty((columns[0].shape[0], sum(block.shape[1] for block in columns)))
+    return np.concatenate(columns, axis=1, out=joined).T  # C-ordered join: the Dataset keeps it
 
 
 _CELL = 24  # bytes of a cell the vectorized parse reads; longer cells go to float()

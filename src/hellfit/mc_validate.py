@@ -14,7 +14,6 @@ from dataclasses import dataclass
 import math
 
 import numpy as np
-from scipy.stats import multivariate_normal, norm
 
 from hellfit.dataset import Dataset, RngStream, ar_covariance, sample_mvn
 from hellfit.divergence import (
@@ -66,7 +65,8 @@ class MultivariateNormal:
     inclusion-exclusion over its 2^d corners, one batched ``cdf`` of a single
     frozen distribution per corner pattern.  scipy's CDF is deterministic in
     2-D; from 3-D on it is a randomized quasi-Monte Carlo integral (seed 0),
-    whose stream runs across all leaves of a call.
+    whose stream runs across all leaves of a call.  Only ``leaf_masses``
+    imports ``scipy.stats`` (about 1.4 s), so sampling never loads it.
     """
 
     def __init__(self, mean, cov):
@@ -84,6 +84,8 @@ class MultivariateNormal:
         return sample_mvn(n, self.mean, self.cov, rng)
 
     def leaf_masses(self, tree: PartitionTree) -> np.ndarray:
+        from scipy.stats import multivariate_normal, norm
+
         axes = list(tree.axes)
         sub_cov = self.cov[np.ix_(axes, axes)]
         sub_mean = self.mean[axes]

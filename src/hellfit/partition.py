@@ -251,7 +251,10 @@ def assign(tree: PartitionTree, values) -> np.ndarray:
         raise ValueError(f"sample dimension {values.shape[1]} != tree dimension {tree.k}")
     ids = np.zeros(len(values), dtype=np.intp)
     for axis, level in zip(tree.axes, tree.breaks):
-        ids = ids * (level.shape[1] + 1) + (level[ids] < values[:, axis, None]).sum(1)
+        column, child = values[:, axis], ids * (level.shape[1] + 1)
+        for breaks in level.T:  # one pass per break: no (n, fan - 1) temporary
+            child += breaks[ids] < column
+        ids = child
     return ids
 
 

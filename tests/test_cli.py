@@ -1,3 +1,4 @@
+import ast
 import hashlib
 import importlib.resources
 import json
@@ -650,6 +651,35 @@ class TestConsoleScript:
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout.rsplit("\n", 2)[0])["generator"] == generator
         assert proc.stdout.splitlines()[-1] == "[]"
+
+    # only a normal CDF loads scipy: theorem 4's exact leaf masses
+    @pytest.mark.parametrize(
+        "argv, normal_cdf",
+        [
+            (["fit", "--mother", "{mother}", "--model", "{model}", "--depth", "3",
+              "--branching", "4", "--epsilon", "0.05"], False),
+            (["simulate", "--table", "1", "--n1", "500", "--n2", "5000"], False),
+            (["simulate", "--table", "5", "--k", "3", "--n2", "5000"], False),
+            (["validate", "--theorem", "2", "--n", "100", "--replicates", "100"], False),
+            (["validate", "--theorem", "3", "--n", "100", "--replicates", "5"], False),
+            (["validate", "--theorem", "4", "--n1", "100", "--n2", "1000",
+              "--replicates", "2"], True),
+        ],
+        ids=["fit", "simulate-1", "simulate-5", "validate-2", "validate-3", "validate-4"],
+    )
+    def test_which_commands_load_scipy(self, argv, normal_cdf, golden_files, tmp_path):
+        argv = [arg.format(**golden_files) for arg in argv]
+        proc = run_checkout_python(
+            "-c",
+            "import sys; from hellfit import cli;"
+            f" code = cli.run(['--output', {str(tmp_path / 'out.json')!r}, *{argv!r}]);"
+            " print(code, sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))",
+        )
+        assert proc.returncode == 0, proc.stderr
+        code, modules = proc.stdout.split(" ", 1)
+        assert code == "0"
+        modules = ast.literal_eval(modules)
+        assert "scipy.stats" in modules if normal_cdf else modules == []
 
     def test_module_invocation(self):
         proc = run_checkout_python("-m", "hellfit.cli", "threshold", "--epsilon", "0.01")

@@ -7,6 +7,7 @@ import pytest
 import scipy.special
 import scipy.stats
 
+from hellfit import criterion
 from hellfit.criterion import (
     FitnessReport,
     bias_correction,
@@ -353,7 +354,48 @@ class TestKsTwoSample:
             ref = self.searchsorted_statistic(x, y)
             assert struct.pack("<d", stat) == struct.pack("<d", ref)
             en = nx * ny / (nx + ny)
-            assert p == float(scipy.special.kolmogorov(math.sqrt(en) * ref))
+            assert p == pytest.approx(scipy.special.kolmogorov(math.sqrt(en) * ref), rel=1e-12)
+
+
+class TestKolmogorovSeries:
+    """The p-value's limiting Kolmogorov survival function, two series split at a cut-over."""
+
+    @staticmethod
+    def ulps_around(x, count):
+        """``count`` consecutive doubles on each side of ``x``."""
+        below = [x]
+        for _ in range(count):
+            below.append(np.nextafter(below[-1], -np.inf))
+        above = [x]
+        for _ in range(count):
+            above.append(np.nextafter(above[-1], np.inf))
+        return np.array(below[:0:-1] + above)
+
+    GRIDS = (
+        np.linspace(0.0, 30.0, 30001),
+        np.linspace(0.7, 0.95, 25001),  # dense around the cut-over
+        ulps_around(criterion._KS_CUTOVER, 1000),  # the seam of the two series
+        ulps_around(0.1, 10),  # the edge of Q = 1
+    )
+
+    @staticmethod
+    def q(grid):
+        return np.array([criterion._kolmogorov_sf(float(x)) for x in grid])
+
+    @pytest.mark.parametrize("grid", GRIDS, ids=["coarse", "dense", "cut-over", "edge"])
+    def test_matches_scipy(self, grid):
+        ref = scipy.special.kolmogorov(grid)
+        assert np.all(np.abs(self.q(grid) - ref) <= 1e-12 * ref)
+
+    def test_one_at_zero(self):
+        assert criterion._kolmogorov_sf(0.0) == 1.0
+
+    # one double apart, rounding may lift Q by an ulp anywhere (scipy's Q as
+    # well), so the grids away from the seam step well above that
+    @pytest.mark.parametrize("grid", GRIDS, ids=["coarse", "dense", "cut-over", "edge"])
+    def test_never_increases(self, grid):
+        q = self.q(grid)
+        assert np.all(np.diff(q) <= 0.0) and np.all((q >= 0.0) & (q <= 1.0))
 
 
 class TestFitnessReportShape:

@@ -158,3 +158,23 @@ def test_well_formed_input_in_tiny_blocks(csv_path, tiny_blocks, monkeypatch, te
 
 def test_underscore_digits_in_tiny_blocks(csv_path, tiny_blocks):
     oracle.test_underscore_digits_fall_back(csv_path)
+
+
+
+ROWS = "".join(f"{i},{i + 1},{i / 4}\n" for i in range(40))
+
+
+@pytest.mark.parametrize(
+    "text", ["x,y,z\n" + ROWS, ROWS.replace("\n", "\r\n")], ids=["plain", "normalized"]
+)
+def test_loaded_matrix_is_the_join_of_the_blocks(csv_path, monkeypatch, text):
+    """The Dataset keeps the block parser's joined array: no second copy of the values."""
+    monkeypatch.setattr(dataset, "_BLOCK_BYTES", 32)  # several rows a block, several blocks
+    joins = []
+    parse = dataset._parse_blocks
+    monkeypatch.setattr(dataset, "_parse_blocks", lambda blocks: joins.append(parse(blocks)) or joins[-1])
+    csv_path.write_bytes(text.encode())
+    values = dataset.load_dataset(csv_path).values
+    assert values.flags.f_contiguous
+    assert np.shares_memory(values, joins[-1])
+    assert values.tolist() == [[i, i + 1, i / 4] for i in range(40)]

@@ -16,6 +16,10 @@ exported in ``hellfit.__all__``: a name that only tests call is dead code.
 
 Numbers are parsed from text in ``dataset.py`` alone, by its block parser: no
 module calls numpy's text readers, whose conversions differ from ``float()``.
+
+No module imports scipy when it loads: ``scipy.stats`` alone takes about 1.4 s,
+so scipy is imported inside the function that evaluates a normal CDF, and only
+the commands that call it pay for it.
 """
 
 import ast
@@ -231,3 +235,46 @@ def test_no_module_calls_numpy_text_readers(path):
 )
 def test_checker_flags_text_reader_calls(source, expected):
     assert text_reader_calls(source) == expected
+
+
+def eager_scipy_imports(source: str) -> list[str]:
+    """Imports of scipy in ``source`` that run when it loads: those outside any function."""
+    found = []
+
+    def visit(node):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                continue
+            if isinstance(child, ast.Import):
+                names = [alias.name for alias in child.names]
+            elif isinstance(child, ast.ImportFrom) and not child.level:
+                names = [child.module]
+            else:
+                names = []
+            found.extend(f"{name}:{child.lineno}" for name in names if name.split(".")[0] == "scipy")
+            visit(child)
+
+    visit(ast.parse(source))
+    return found
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda path: path.name)
+def test_no_module_imports_scipy_when_it_loads(path):
+    assert eager_scipy_imports(path.read_text()) == []
+
+
+@pytest.mark.parametrize(
+    "source, expected",
+    [
+        ("from scipy.stats import norm", ["scipy.stats:1"]),
+        ("import numpy as np, scipy.special as sc", ["scipy.special:1"]),
+        ("import scipy", ["scipy:1"]),
+        ("try:\n    import scipy.stats\nexcept ImportError:\n    pass", ["scipy.stats:2"]),
+        ("class C:\n    from scipy import special", ["scipy:2"]),
+        ("def f():\n    from scipy.stats import norm\n    return norm", []),
+        ("class C:\n    def g(self):\n        import scipy.stats", []),
+        ("import scipyx\nfrom .scipy import x\nfrom numpy import scipy", []),
+    ],
+)
+def test_checker_flags_eager_scipy_imports(source, expected):
+    assert eager_scipy_imports(source) == expected

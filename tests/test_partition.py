@@ -271,6 +271,35 @@ class TestProperties:
         assert count_into_bins(tree, sample).tolist() == list(tree.counts)
 
 
+def assign_2d(tree, values):
+    """``assign`` as a 2-D gather per level: each row against all breaks of its region."""
+    ids = np.zeros(len(values), dtype=np.intp)
+    for axis, level in zip(tree.axes, tree.breaks):
+        ids = ids * (level.shape[1] + 1) + (level[ids] < values[:, axis, None]).sum(1)
+    return ids
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(1, 3), st.booleans())
+@settings(max_examples=80, deadline=None)
+def test_assign_matches_a_2d_gather(seed, depth, bounded):
+    """Per-level branching, any axis order, finite bounds, and points on the breaks."""
+    rng = RngStream(seed).generator()
+    k = depth + int(rng.integers(0, 2))
+    fans = tuple(int(fan) for fan in rng.integers(2, 5, size=depth))
+    axes = tuple(int(a) for a in rng.permutation(k)[:depth])
+    bounds = ((-3.0, 3.0),) * k if bounded else ()
+    model = Dataset(rng.uniform(-2.9, 3.0, size=(int(rng.integers(200, 500)), k)), bounds)
+    tree = build_moving_partition(model, PartitionSpec(depth, fans, axis_order=axes))
+    points = rng.uniform(-3.0, 3.0, size=(300, k))
+    for axis, level in zip(tree.axes, tree.breaks):  # a third of the rows sit on a break
+        points[:100, axis] = rng.choice(level.ravel(), 100)
+    if bounded:
+        points[100:110] = 3.0  # the top of the support
+    points = np.asfortranarray(points) if rng.integers(2) else points
+    assert np.array_equal(assign(tree, points), assign_2d(tree, points))
+    assert np.array_equal(assign(tree, model.values), assign_2d(tree, model.values))
+
+
 class TestSerialization:
     def test_round_trip_lossless(self):
         sample = Dataset(RngStream(7).generator().standard_normal((100, 2)))
