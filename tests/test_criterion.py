@@ -357,19 +357,13 @@ class TestKsTwoSample:
             assert p == pytest.approx(scipy.special.kolmogorov(math.sqrt(en) * ref), rel=1e-12)
 
 
+def ulps_around(x, count):
+    """``x`` > 0 and the ``count`` consecutive doubles on each side of it."""
+    return (np.array(x).view(np.int64) + np.arange(-count, count + 1)).view(np.float64)
+
+
 class TestKolmogorovSeries:
     """The p-value's limiting Kolmogorov survival function, two series split at a cut-over."""
-
-    @staticmethod
-    def ulps_around(x, count):
-        """``count`` consecutive doubles on each side of ``x``."""
-        below = [x]
-        for _ in range(count):
-            below.append(np.nextafter(below[-1], -np.inf))
-        above = [x]
-        for _ in range(count):
-            above.append(np.nextafter(above[-1], np.inf))
-        return np.array(below[:0:-1] + above)
 
     GRIDS = (
         np.linspace(0.0, 30.0, 30001),

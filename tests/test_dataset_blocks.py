@@ -160,7 +160,6 @@ def test_underscore_digits_in_tiny_blocks(csv_path, tiny_blocks):
     oracle.test_underscore_digits_fall_back(csv_path)
 
 
-
 ROWS = "".join(f"{i},{i + 1},{i / 4}\n" for i in range(40))
 
 
