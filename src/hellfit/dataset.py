@@ -74,16 +74,19 @@ class Dataset:
 def load_dataset(path, bounds=None) -> Dataset:
     """Parse a comma-separated file of reals into a Dataset.
 
-    A single non-numeric first line is treated as a header.  Row and column
-    indices in error messages are 1-based.
+    Lines that hold only whitespace are skipped, but counted in line
+    numbers.  The first other line is a header if none of its cells is
+    numeric.  A ragged row, a cell ``float()`` rejects or reads as
+    non-finite, or no data row raises ParseError; the first error in file
+    order wins, and within one row a bad cell wins over a wrong width.  Row
+    and column indices in error messages are 1-based.
 
     Numbers are read by one vectorized decimal parser over blocks of about
     ``_BLOCK_BYTES`` bytes, each cut at a line end, whose columns are joined
     once into a column-major array; it gives exactly the values ``float()``
     gives.  A plain file (ASCII, no line break but ``\\n``) is read from disk
-    once, block by block, and never held whole; any other file is first
-    normalized the way the line parse reads it (``read_text``,
-    ``splitlines``, whitespace-only lines dropped).
+    once, block by block, and never held whole, whether it is good or bad;
+    any other file is read as text and split with ``splitlines``.
 
     A cell ``[+-]?digits[.digits]([eE][+-]?d{1,3})?`` of at most ``_CELL``
     bytes whose digits form an integer M < 10**19 is M times 10**q, where q
@@ -94,22 +97,14 @@ def load_dataset(path, bounds=None) -> Dataset:
     every other cell, and every cell on a platform whose long double is not
     the 16-byte x87 extended format are converted one at a time with
     ``float()``.
-
-    When the rows are ragged, a cell is not a finite number, or no data row
-    is left after the header, the line-by-line parse alone decides the
-    values or the error.
     """
     try:
-        values, plain = _parse_blocks(_file_blocks(path)), True
-    except _NotPlain:
-        values, plain = None, False
-    if values is None:
-        lines = Path(path).read_text().splitlines()
-        kept = [line for line in lines if line.strip() != ""]
-        if not plain or len(kept) < len(lines):  # else the normalized text is the file's
-            values = _parse_blocks(_text_blocks(kept))
-        if values is None:
-            values = _parse_by_line(path, lines)
+        try:
+            values = _parse_blocks(_file_blocks(path))
+        except _NotPlain:
+            values = _parse_blocks(_text_blocks(Path(path).read_text().splitlines()))
+    except ParseError as exc:
+        raise ParseError(f"{path}: {exc}") from None
     return Dataset(values, tuple(bounds) if bounds else ())
 
 
@@ -132,12 +127,15 @@ class _NotPlain(Exception):
     """A file whose bytes are not its normalized text: it must be normalized first."""
 
 
+class _BadCell(Exception):
+    """A cell ``float()`` rejects or reads as non-finite; args: what is wrong, the cell's index."""
+
+
 def _file_blocks(path):
     """The bytes of a plain file in blocks of whole lines; a last line without ``\\n`` gets one.
 
     Raises _NotPlain at the first block that is not ASCII or holds a line
-    break but ``\\n``.  An empty line needs no check: its one cell is "",
-    which ``float()`` rejects, so the block parse defers it.
+    break but ``\\n``.
     """
     tail = b""
     with open(path, "rb") as fh:
@@ -154,8 +152,11 @@ def _file_blocks(path):
 
 
 def _text_blocks(lines):
-    """``lines``, each ended by ``\\n`` and UTF-8 encoded, in blocks of whole lines."""
-    data = "".join(line + "\n" for line in lines).encode()
+    """``lines``, each ended by ``\\n`` and UTF-8 encoded, in blocks of whole lines.
+
+    A whitespace-only line is emptied, so it reads as a blank line of a plain file.
+    """
+    data = "".join((line if line.strip() else "") + "\n" for line in lines).encode()
     view, at = memoryview(data), 0
     while at < len(data):
         cut = (data.rfind(b"\n", at, at + _BLOCK_BYTES) + 1) or (data.find(b"\n", at) + 1)
@@ -164,36 +165,82 @@ def _text_blocks(lines):
 
 
 def _parse_blocks(blocks):
-    """The data rows of ``blocks`` as a column-major float matrix, or None.
+    """The data rows of ``blocks`` as a column-major float matrix.
 
-    Each block holds whole lines, each ending in ``\\n``.  None defers to the
-    line parse: ragged rows, a cell ``float()`` rejects or reads as
-    non-finite, or no data row.
+    Each block holds whole lines, each ending in ``\\n``; a blank line holds
+    nothing but space, tab and ``\\x1f``.  A block is parsed as it is, and
+    only if that fails, again without its blank lines, to raise the first
+    error.  ParseError is raised once every block is read: a later block of
+    a file that is not plain raises _NotPlain instead.
     """
     columns = []  # (k, rows) per block, so the transpose of their join is column-major
-    for number, block in enumerate(blocks):
+    line, header = 1, True  # line: the number of the block's first line
+    for block in blocks:
         buf = np.frombuffer(block, np.uint8)
-        if number == 0:  # the first line may be a header
-            first = int(np.argmax(buf == 10))
-            if _is_header(bytes(block[:first]).decode()):
-                buf = buf[first + 1 :]
-        ends = np.flatnonzero((buf == 44) | (buf == 10))
-        breaks = buf[ends] == 10
-        rows = np.count_nonzero(breaks)
-        if rows == 0:
-            continue
-        k = ends.size // rows
-        ragged = k * rows != ends.size or not breaks[k - 1 :: k].all()
-        if ragged or (columns and k != columns[0].shape[0]):
-            return None
-        values = _cell_values(buf, ends)
-        if values is None:
-            return None
-        columns.append(values.reshape(rows, k).T)
+        ends, lasts = _cell_ends(buf)
+        try:
+            header = _block_rows(buf, ends, lasts, header, columns, range(line, line + lasts.size))
+        except ParseError:  # perhaps only a blank line: parse again without them
+            starts = np.concatenate(([0], ends[lasts[:-1]] + 1))
+            solid = (buf != 32) & (buf != 9) & (buf != 31) & (buf != 10)  # not blank or \n
+            kept = np.logical_or.reduceat(solid, starts)  # the lines that are not blank
+            buf = buf[np.repeat(kept, np.diff(starts, append=buf.size))]
+            numbers = line + np.flatnonzero(kept)
+            try:
+                header = _block_rows(buf, *_cell_ends(buf), header, columns, numbers)
+            except ParseError:
+                # read on: a later block that is not plain sends the file to read_text
+                for _ in blocks:
+                    pass
+                raise
+        line += lasts.size
     if not columns:
-        return None
+        raise ParseError("empty input")
     joined = np.empty((columns[0].shape[0], sum(block.shape[1] for block in columns)))
     return np.concatenate(columns, axis=1, out=joined).T  # C-ordered join: the Dataset keeps it
+
+
+def _cell_ends(buf):
+    """The index in ``buf`` of each cell's end, a comma or ``\\n``.
+
+    And the index in those of each line's last cell.
+    """
+    ends = np.flatnonzero((buf == 44) | (buf == 10))
+    return ends, np.flatnonzero(buf[ends] == 10)
+
+
+def _block_rows(buf, ends, lasts, header, columns, numbers):
+    """Append the data rows of a block to ``columns``; return whether the header is still to come.
+
+    ``numbers`` are the line numbers of the lines of ``buf``.  Raises
+    ParseError at the first failing line, and at a blank first line while
+    the header is still to come.
+    """
+    if header and lasts.size:
+        first = lasts[0] + 1  # the cells of the first line
+        cut = ends[first - 1] + 1  # its bytes, with the \n
+        text = buf[: cut - 1].tobytes().decode()
+        if not text.strip(" \t\x1f"):
+            raise ParseError(f"blank line {numbers[0]}")
+        header = False
+        if _is_header(text):
+            buf, ends, lasts = buf[cut:], ends[first:] - cut, lasts[1:] - first
+            numbers = numbers[1:]
+    if not lasts.size:
+        return header
+    widths = np.diff(lasts, prepend=-1)
+    width = columns[0].shape[0] if columns else int(widths[0])
+    ragged = np.flatnonzero(widths != width)
+    try:  # the cells up to the first ragged row: a bad cell in that row comes first
+        values = _cell_values(buf, ends[: lasts[ragged[0]] + 1] if ragged.size else ends)
+    except _BadCell as exc:
+        words, cell = exc.args
+        row = np.searchsorted(lasts, cell)
+        raise ParseError(f"{words} cell ({numbers[row]},{cell - lasts[row] + widths[row]})")
+    if ragged.size:
+        raise ParseError(f"ragged row {numbers[ragged[0]]}")
+    columns.append(values.reshape(lasts.size, width).T)
+    return header
 
 
 _CELL = 24  # bytes of a cell the vectorized parse reads; longer cells go to float()
@@ -209,7 +256,7 @@ _EXTENDED = (
 
 
 def _cell_values(buf, ends):
-    """``float()`` of every cell of ``buf``, bit for bit, or None if one is rejected or not finite.
+    """``float()`` of every cell of ``buf``, bit for bit; raises _BadCell at the first bad one.
 
     Cell i is ``buf[ends[i - 1] + 1 : ends[i]]`` (the first starts at 0).
     """
@@ -224,9 +271,9 @@ def _cell_values(buf, ends):
         try:
             value = float(buf[starts[i] : ends[i]].tobytes().decode())
         except ValueError:
-            return None
+            raise _BadCell("non-numeric", i) from None
         if not np.isfinite(value):
-            return None
+            raise _BadCell("non-finite", i)
         values[i] = value
     return values
 
@@ -315,41 +362,6 @@ def _decimal_values(buf, starts, ends):
     values = wide.astype(np.float64)
     np.negative(values, out=values, where=negative)
     return values, bad
-
-
-def _parse_by_line(path, lines):
-    """Parse with one ``float()`` per cell; raises ParseError at the first bad cell."""
-    rows = [(idx + 1, line) for idx, line in enumerate(lines) if line.strip() != ""]
-    if not rows:
-        raise ParseError(f"{path}: empty input")
-
-    def parse_row(lineno, line):
-        cells = line.split(",")
-        out = []
-        for col, cell in enumerate(cells, start=1):
-            try:
-                value = float(cell)
-            except ValueError:
-                raise ParseError(f"{path}: non-numeric cell ({lineno},{col})") from None
-            if not np.isfinite(value):
-                raise ParseError(f"{path}: non-finite cell ({lineno},{col})")
-            out.append(value)
-        return out
-
-    start = 1 if _is_header(rows[0][1]) else 0
-    if start == len(rows):
-        raise ParseError(f"{path}: empty input")
-
-    parsed = []
-    width = None
-    for lineno, line in rows[start:]:
-        row = parse_row(lineno, line)
-        if width is None:
-            width = len(row)
-        elif len(row) != width:
-            raise ParseError(f"{path}: ragged row {lineno}")
-        parsed.append(row)
-    return np.array(parsed, dtype=float)
 
 
 def save_dataset(dataset: Dataset, path) -> None:

@@ -16,7 +16,10 @@ def kernel(cells):
     """``dataset._cell_values`` on ``cells``, one a line."""
     text = "".join(cell + "\n" for cell in cells).encode()
     buf = np.frombuffer(text, np.uint8)
-    return dataset._cell_values(buf, np.flatnonzero(buf == 10))
+    try:
+        return dataset._cell_values(buf, np.flatnonzero(buf == 10))
+    except dataset._BadCell:
+        return None
 
 
 def reference(cells):
@@ -158,6 +161,24 @@ def test_well_formed_input_in_tiny_blocks(csv_path, tiny_blocks, monkeypatch, te
 
 def test_underscore_digits_in_tiny_blocks(csv_path, tiny_blocks):
     oracle.test_underscore_digits_fall_back(csv_path)
+
+
+@pytest.mark.parametrize("text", cases(oracle.test_bad_plain_input_is_read_once))
+def test_bad_plain_input_in_tiny_blocks(csv_path, tiny_blocks, monkeypatch, text):
+    oracle.test_bad_plain_input_is_read_once(csv_path, text, monkeypatch)
+
+
+@pytest.mark.parametrize(
+    "late, error, words",
+    [(b"\xff", UnicodeDecodeError, "can't decode byte 0xff"),
+     (b"\xc3\xa9", dataset.ParseError, "non-numeric cell (1,2)")],
+)
+def test_a_bad_cell_waits_for_the_later_blocks(csv_path, tiny_blocks, late, error, words):
+    """A later byte that is not plain sends the file to ``read_text``, whose error comes first."""
+    csv_path.write_bytes(b"1,x\n" + b"1,2\n" * 3 + b"3," + late + b"\n")
+    got = oracle.outcome(dataset.load_dataset, csv_path)
+    assert got == oracle.outcome(oracle.ref_load_dataset, csv_path)
+    assert got[1] is error and words in got[2]
 
 
 ROWS = "".join(f"{i},{i + 1},{i / 4}\n" for i in range(40))

@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from hellfit import dataset
 from hellfit.dataset import Dataset, ParseError, load_dataset, save_dataset
 
 pytestmark = [
@@ -183,6 +182,12 @@ def csv_path(tmp_path_factory):
 @example("1\n2\n3")
 @example("a\n")
 @example("x\n0.0\x1f\n")  # numpy strips \x1f, float() does not
+@example("1,2\n3,x,5\n")  # a bad cell beats the wrong width of its own row
+@example("1,2\n3\n4,x\n")  # the first error in file order wins
+@example("1,2\n\n \n3,x\n")  # blank lines are counted in line numbers
+@example("1,2\n3,1e400\n")
+@example("\n \na,b\n\n")  # a header and blank lines only: empty input
+@example("\n1,2\n")  # a leading blank line is not a header
 @settings(max_examples=600, deadline=None)
 def test_loader_matches_reference(csv_path, text):
     csv_path.write_text(text)
@@ -225,18 +230,42 @@ def test_splitlines_breaks_are_line_breaks(csv_path, text, cell):
     ],
 )
 def test_well_formed_input_skips_the_line_parse(csv_path, text, monkeypatch):
-    def fail(*args):
-        raise AssertionError("line-by-line parse ran")
-
     csv_path.write_text(text)
     expected = ref_load_dataset(csv_path).values
-    monkeypatch.setattr(dataset, "_parse_by_line", fail)
+    reads = count_text_reads(monkeypatch)
     got = load_dataset(csv_path).values
     assert got.shape == expected.shape and got.tobytes() == expected.tobytes()
+    assert reads == [] or not is_plain(text), "a plain file was read twice"
+
+
+def is_plain(text):
+    """ASCII with no line break but \\n: the loader reads such a file from disk once."""
+    return text.isascii() and not any(mark in text for mark in "\r\x0b\x0c\x1c\x1d\x1e")
+
+
+def count_text_reads(monkeypatch):
+    """A list that gets one entry per ``Path.read_text`` call from now on."""
+    reads, read_text = [], Path.read_text
+
+    def counted(self, *args, **kwargs):
+        reads.append(self)
+        return read_text(self, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "read_text", counted)
+    return reads
+
+
+@pytest.mark.parametrize("text", ["1,2\n3,x\n", "1,2\n3\n", "a,b\n", ""])
+def test_bad_plain_input_is_read_once(csv_path, text, monkeypatch):
+    csv_path.write_text(text)
+    expected = outcome(ref_load_dataset, csv_path)
+    reads = count_text_reads(monkeypatch)
+    assert outcome(load_dataset, csv_path) == expected
+    assert expected[0] == "raise" and reads == []
 
 
 def test_underscore_digits_fall_back(csv_path):
-    # float() accepts "1_0"; numpy does not, so the line parse decides
+    # float() accepts "1_0"; the vectorized grammar does not, so float() decides
     csv_path.write_text("1_0,2\n3,4\n")
     assert load_dataset(csv_path).values.tolist() == [[10.0, 2.0], [3.0, 4.0]]
 
