@@ -28,25 +28,23 @@ from hellfit.partition import (
 )
 
 
-def _epsilon_arg(text):
-    value = float(text)
-    if not 0 < value < 0.5:
-        raise argparse.ArgumentTypeError("epsilon must be in (0, 0.5)")
-    return value
+def _checked(convert, ok, message):
+    """An argparse type: ``convert`` the text, and refuse a value that is not ``ok``."""
+
+    def check(text):
+        value = convert(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(message)
+        return value
+
+    check.__name__ = convert.__name__  # argparse names it when the text does not convert
+    return check
 
 
-def _delta_arg(text):
-    value = float(text)
-    if not 0 < value < math.inf:
-        raise argparse.ArgumentTypeError("delta must be a finite value > 0")
-    return value
-
-
-def _fan_arg(text):
-    value = int(text)
-    if value < 2:
-        raise argparse.ArgumentTypeError("branching values must be >= 2")
-    return value
+_epsilon_arg = _checked(float, lambda v: 0 < v < 0.5, "epsilon must be in (0, 0.5)")
+_delta_arg = _checked(float, lambda v: 0 < v < math.inf, "delta must be a finite value > 0")
+_fan_arg = _checked(int, lambda v: v >= 2, "branching values must be >= 2")
+_positive_int_arg = _checked(int, lambda v: v >= 1, "must be a positive integer")
 
 
 def _branching_arg(text):
@@ -60,13 +58,6 @@ def _bounds_arg(text):
         lo, hi = pair.split(":")
         out.append((float(lo), float(hi)))
     return out
-
-
-def _positive_int_arg(text):
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError("must be a positive integer")
-    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -310,6 +301,11 @@ def run(argv=None) -> int:
         )
     if args.command == "simulate" and args.table >= 5 and args.k is not None and args.k < 2:
         parser.error("argument --k: tables 5 and 6 scan coordinate pairs and need k >= 2")
+    if isinstance(getattr(args, "branching", None), list) and len(args.branching) != args.depth:
+        parser.error(
+            f"argument --branching: {len(args.branching)} values for --depth {args.depth}; "
+            "give one value or one per level"
+        )
     unread = _unread_flag(args)
     if unread:
         parser.error(unread)

@@ -88,12 +88,16 @@ def load_dataset(path, bounds=None) -> Dataset:
     once, block by block, and never held whole, whether it is good or bad;
     any other file is read as text and split with ``splitlines``.
 
-    A cell ``[+-]?digits[.digits]([eE][+-]?d{1,3})?`` of at most ``_CELL``
-    bytes whose digits form an integer M < 10**19 is M times 10**q, where q
-    is the exponent net of the fraction digits.  For |q| <= 27, M and 10**|q| are
-    exact in the x87 extended long double (64-bit significand), so M * 10**q
-    or M / 10**-q rounds once, and rounding that again to a double is correct
-    unless it lies exactly halfway between two doubles.  Halfway results,
+    A cell ``[+-]?digits[.digits]([eE][+-]?d{1,3})?`` whose mantissa (the
+    bytes before the e) has at most ``_CELL`` bytes and whose digits form an
+    integer M < 10**19 is M times 10**q, where q is the exponent net of the
+    fraction digits.  Each cell's first e is found by one search of the
+    block's bytes, so the bound does not count the exponent: ``np.savetxt``'s
+    default ``%.18e`` cells, 25 bytes when negative, are read here.  For
+    |q| <= 27, M and 10**|q| are exact in the x87 extended long double
+    (64-bit significand), so M * 10**q or M / 10**-q rounds once, and
+    rounding that again to a double is correct unless it lies exactly
+    halfway between two doubles.  Halfway results,
     every other cell, and every cell on a platform whose long double is not
     the 16-byte x87 extended format are converted one at a time with
     ``float()``.
@@ -243,7 +247,7 @@ def _block_rows(buf, ends, lasts, header, columns, numbers):
     return header
 
 
-_CELL = 24  # bytes of a cell the vectorized parse reads; longer cells go to float()
+_CELL = 24  # mantissa bytes (those before the e) the kernel reads; longer ones go to float()
 _POW10 = np.array([10**q for q in range(28)], dtype=np.longdouble)  # exact: 5**27 < 2**64
 _POW10_INT = np.array([10**q for q in range(9)], dtype=np.uint64)  # digits of one chunk
 _POW10_FLOAT = 10.0 ** np.arange(17)
@@ -284,41 +288,34 @@ def _decimal_values(buf, starts, ends):
     Needs the x87 extended long double; the values of masked cells mean nothing.
     """
     n = ends.size
-    sizes = np.minimum(ends - starts, _CELL + 1).astype(np.uint8)
-    width = int(np.clip(sizes.max(), 1, _CELL))
+    # the exponent, [eE][+-]?d{1,3}, after the first e of each cell: one search of the bytes
+    lower = np.bitwise_or(buf[: ends[-1]], 32)  # compared in place: one temporary, not two
+    at = np.flatnonzero(np.equal(lower, 101, out=lower.view(bool)))
+    cells = np.searchsorted(ends, at)
+    first = np.diff(cells, prepend=-1) != 0  # the first e of each cell
+    at, cells = at[first], cells[first]
+    sign = np.take(buf, at + 1, mode="clip")
+    signed = (sign == 43) | (sign == 45)
+    count = ends[cells] - at - 1 - signed
+    ok = (count >= 1) & (count <= 3)
+    value = np.zeros(cells.size, np.int64)
+    for j in range(3):
+        digit = np.take(buf, at + 1 + signed + j, mode="clip") - np.uint8(48)
+        ok &= (count <= j) | (digit <= 9)
+        value = np.where(j < count, value * 10 + digit, value)
+    power = np.zeros(n, np.int64)
+    power[cells] = np.where(sign == 45, -value, value)
+    stop = ends - starts  # the mantissa's length: the bytes of the cell before its e
+    stop[cells] = at - starts[cells]
+    bad = stop > _CELL
+    bad[cells] |= ~ok
+    stop = np.minimum(stop, _CELL).astype(np.uint8)  # uint8 for the row loop, which ends at _CELL
+
+    # the mantissa, [+-]?digits[.digits]: M in three uint32 chunks of 8 rows
+    width = max(int(stop.max()), 1)
     chars = np.empty((width, n), np.uint8)  # chars[r, i]: byte r of cell i
     for r in range(width):
         np.take(buf, starts + r, out=chars[r], mode="clip")
-    bad = sizes > _CELL
-
-    # the exponent, [eE][+-]?d{1,3}, parsed where a cell has an e at all
-    stop = sizes.copy()  # where the mantissa stops
-    power = np.zeros(n, np.int64)
-    has_e = np.zeros(n, bool)
-    for row in chars:
-        has_e |= (row | 32) == 101
-    cells = np.flatnonzero(has_e)
-    if cells.size:
-        sub = chars[:, cells].astype(np.int64)
-        at = np.argmax((sub | 32) == 101, axis=0)
-        inside = at < sizes[cells]  # the e found may lie in a later cell
-        cells, sub, at = cells[inside], sub[:, inside], at[inside]
-        cols = np.arange(cells.size)
-        first = sub[np.minimum(at + 1, width - 1), cols]
-        signed = (first == 43) | (first == 45)
-        count = sizes[cells] - at - 1 - signed
-        ok = (count >= 1) & (count <= 3)
-        value = np.zeros(cells.size, np.int64)
-        for j in range(3):
-            digit = sub[np.minimum(at + 1 + signed + j, width - 1), cols] - 48
-            used = j < count
-            ok &= ~used | ((digit >= 0) & (digit <= 9))
-            value = value * (1 + 9 * used) + digit * used
-        power[cells] = np.where(first == 45, -value, value)
-        bad[cells] |= ~ok
-        stop[cells] = at
-
-    # the mantissa, [+-]?digits[.digits]: M in three uint32 chunks of 8 rows
     negative = chars[0] == 45
     signed = negative | (chars[0] == 43)
     chunks = np.zeros((3, n), np.uint32)

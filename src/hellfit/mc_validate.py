@@ -73,7 +73,6 @@ class MultivariateNormal:
         self.mean = np.atleast_1d(np.asarray(mean, dtype=float))
         self.cov = np.atleast_2d(np.asarray(cov, dtype=float))
         self.k = self.mean.size
-        self.bounds = tuple((-np.inf, np.inf) for _ in range(self.k))
 
     @classmethod
     def shifted(cls, k: int, alpha: float, beta: float, rho: float = 0.95):

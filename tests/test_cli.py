@@ -3,6 +3,7 @@ import hashlib
 import importlib.resources
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -217,6 +218,40 @@ class TestUsageErrors:
             run(argv)
         assert exc.value.code == 2
         assert "error: argument" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv, words",
+        [
+            (["fit", *FILES, "--depth", "x", "--branching", "4", "--epsilon", "0.05"],
+             "argument --depth: invalid int value: 'x'"),
+            (["threshold", "--epsilon", "abc"], "argument --epsilon: invalid float value: 'abc'"),
+        ],
+        ids=["depth", "epsilon"],
+    )
+    def test_unparsable_value_names_the_converter(self, capsys, argv, words):
+        with pytest.raises(SystemExit) as exc:
+            run(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert words in err
+        assert re.search(r"\b_\w", err) is None, "a private function is named"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["fit", "--model", "g.csv", "--depth", "3", "--branching", "4,3", "--epsilon", "0.05"],
+            ["partition", "--depth", "2", "--branching", "4,3,2"],
+        ],
+        ids=["fit", "partition"],
+    )
+    def test_branching_of_the_wrong_length_exit_2(self, capsys, tmp_path, argv):
+        """Refused before any file is opened: the input path does not exist."""
+        missing = str(tmp_path / "missing.csv")
+        flag = "--mother" if argv[0] == "fit" else "--model"
+        with pytest.raises(SystemExit) as exc:
+            run([*argv, flag, missing])
+        assert exc.value.code == 2
+        assert "error: argument --branching:" in capsys.readouterr().err
 
 
 class TestUnreadFlags:

@@ -76,6 +76,9 @@ cell = st.one_of(
 @example(["5.", ".5", "1E5", "+1", "-1.5e+003", "0.30000000000000004"])
 @example(["0.00012345678901234567", "-0.0012345678901234567", "9999999999999999999"])
 @example(["18446744073709551615", "18446744073709551617e-5", "0000000000000000000001.5"])
+@example(["1", "2e5"])  # an e in the next cell
+@example(["1234567890123456789012345e1"])  # a 25-byte mantissa
+@example(["-1.321048632913018883e-01", "6.404226504432923186e-100"])  # np.savetxt's %.18e
 @settings(max_examples=300, deadline=None)
 def kernel_matches_float(cells):
     assert kernel(cells).tobytes() == reference(cells).tobytes()
@@ -103,7 +106,8 @@ def test_kernel_matches_float_without_long_double(monkeypatch):
 @pytest.mark.parametrize(
     "cells",
     [["1_0"], ["1", " 2"], ["1e400"], ["nan"], ["1e"], ["--1"], ["1.2.3"], ["1e+-5"],
-     ["", "1"], [".", "1"], ["e5"], ["1e1000"], ["1\x002"], ["\x1f1"]],
+     ["", "1"], [".", "1"], ["e5"], ["1e1000"], ["1\x002"], ["\x1f1"],
+     ["7", "e"], ["1e5e2"], ["1e:"]],
 )
 def test_kernel_defers_what_float_rejects_or_reads_otherwise(cells):
     expected = reference(cells)
@@ -122,6 +126,19 @@ def test_midpoints_reach_the_float_route(monkeypatch):
     got = kernel(["9007199254740993", "9007199254740992"])
     assert calls == ["9007199254740993"]
     assert got.tobytes() == struct.pack("<2d", 9007199254740992.0, 9007199254740992.0)
+
+
+@x87
+def test_savetxt_cells_stay_in_the_kernel(monkeypatch):
+    # np.savetxt's default %.18e: 25 bytes with a minus sign, 21 of them before the e
+    cells = ["%.18e" % value for value in (0.1321048632913018883, 0.3, 1.5, 6.25)]
+    cells += ["-" + cell for cell in cells]
+    calls = []
+    real = float
+    monkeypatch.setattr(dataset, "float", lambda text: calls.append(text) or real(text), raising=False)
+    got = kernel(cells)
+    assert calls == []
+    assert got.tobytes() == reference(cells).tobytes()
 
 
 # ---------------------------------------------------------------- block edges

@@ -188,6 +188,7 @@ def csv_path(tmp_path_factory):
 @example("1,2\n3,1e400\n")
 @example("\n \na,b\n\n")  # a header and blank lines only: empty input
 @example("\n1,2\n")  # a leading blank line is not a header
+@example("1,2\n3\n4e1,5\n")  # an e after a ragged row
 @settings(max_examples=600, deadline=None)
 def test_loader_matches_reference(csv_path, text):
     csv_path.write_text(text)
