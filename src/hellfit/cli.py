@@ -48,15 +48,21 @@ _positive_int_arg = _checked(int, lambda v: v >= 1, "must be a positive integer"
 
 
 def _branching_arg(text):
-    parts = [_fan_arg(p) for p in text.split(",")]
+    try:
+        parts = [_fan_arg(p) for p in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
     return parts[0] if len(parts) == 1 else parts
 
 
 def _bounds_arg(text):
     out = []
     for pair in text.split(","):
-        lo, hi = pair.split(":")
-        out.append((float(lo), float(hi)))
+        try:
+            lo, hi = pair.split(":")
+            out.append((float(lo), float(hi)))
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid lo:hi pair of floats: {pair!r}") from None
     return out
 
 

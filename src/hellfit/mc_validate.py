@@ -4,8 +4,10 @@ Built-in distributions expose a sampler and ``leaf_masses(tree)``, the exact
 probability of every leaf of a built partition, so the realized partitions can
 be scored against the truth.  Leaf masses are computed for all leaves at once
 from the partition's level arrays (``partition.leaf_edges``), with no per-leaf
-Python loop.  Replicates each own an independent RngStream and are reduced in
-replicate-index order.
+Python loop.  Normal leaf masses evaluate their CDFs in numpy (``math.erf`` and
+Genz's bivariate method), so no CLI command loads scipy; only correlated masses
+over three or more split axes import ``scipy.stats``.  Replicates each own an
+independent RngStream and are reduced in replicate-index order.
 """
 
 from __future__ import annotations
@@ -56,17 +58,117 @@ class UniformCube:
         return mass
 
 
+_ERF = np.frompyfunc(math.erf, 1, 1)
+_ERFC = np.frompyfunc(math.erfc, 1, 1)
+
+
+def _normal_cdf(x: np.ndarray) -> np.ndarray:
+    """Standard normal CDF, elementwise, in ndtr's form: erf for |z| < 1 and a
+    reflected erfc beyond, z = x / sqrt(2)."""
+    z = x * math.sqrt(0.5)
+    tail = 0.5 * _ERFC(np.abs(z)).astype(float)
+    cdf = np.where(z > 0, 1.0 - tail, tail)
+    near = np.abs(z) < 1.0
+    cdf[near] = 0.5 + 0.5 * _ERF(z[near]).astype(float)
+    return cdf
+
+
+# Half of each Gauss-Legendre rule on [-1, 1] (nodes t > 0 and their weights),
+# as tabulated by Genz for 6, 12 and 20 points
+_GAUSS_LEGENDRE = {
+    6: (
+        [0.9324695142031522, 0.6612093864662647, 0.2386191860831970],
+        [0.1713244923791705, 0.3607615730481384, 0.4679139345726904],
+    ),
+    12: (
+        [0.9815606342467191, 0.9041172563704750, 0.7699026741943050,
+         0.5873179542866171, 0.3678314989981802, 0.1252334085114692],
+        [0.04717533638651177, 0.1069393259953183, 0.1600783285433464,
+         0.2031674267230659, 0.2334925365383547, 0.2491470458134029],
+    ),
+    20: (
+        [0.9931285991850949, 0.9639719272779138, 0.9122344282513259,
+         0.8391169718222188, 0.7463319064601508, 0.6360536807265150,
+         0.5108670019508271, 0.3737060887154196, 0.2277858511416451,
+         0.07652652113349733],
+        [0.01761400713915212, 0.04060142980038694, 0.06267204833410906,
+         0.08327674157670475, 0.1019301198172404, 0.1181945319615184,
+         0.1316886384491766, 0.1420961093183821, 0.1491729864726037,
+         0.1527533871307259],
+    ),
+}
+
+
+def _bvnu(h: np.ndarray, k: np.ndarray, r: float) -> np.ndarray:
+    """P(X > h, Y > k), elementwise, for standard normals X, Y of correlation r.
+
+    Genz's BVNU (Statistics and Computing 14, 2004), after Drezner and
+    Wesolowsky: Gauss-Legendre quadrature over asin(r) for |r| < 0.925, an
+    asymptotic expansion about |r| = 1 beyond.  Infinite limits reduce to the
+    independent product.
+    """
+    upper = _normal_cdf(-h) * _normal_cdf(-k)
+    finite = np.isfinite(h) & np.isfinite(k)
+    h, k = h[finite], k[finite]
+    t, half = _GAUSS_LEGENDRE[6 if abs(r) < 0.3 else 12 if abs(r) < 0.75 else 20]
+    x = np.concatenate([1.0 - np.array(t), 1.0 + np.array(t)])[:, None]  # nodes on [0, 2]
+    w = np.array(half + half)
+    if abs(r) < 0.925:
+        asr = math.asin(r) / 2
+        sn = np.sin(asr * x)
+        bvn = w @ np.exp((sn * (h * k) - (h * h + k * k) / 2) / (1 - sn * sn))
+        bvn = bvn * asr / (2 * math.pi) + upper[finite]
+    else:
+        if r < 0:
+            k = -k
+        hk = h * k
+        bvn = 0.0
+        if abs(r) < 1:
+            as_ = 1 - r * r
+            a = math.sqrt(as_)
+            bs = (h - k) ** 2
+            asr = -(bs / as_ + hk) / 2
+            c = (4 - hk) / 8
+            d = (12 - hk) / 80
+            bvn = np.where(
+                asr > -100,
+                a * np.exp(asr) * (1 - c * (bs - as_) * (1 - d * bs) / 3 + c * d * as_ * as_),
+                0.0,
+            )
+            b = np.sqrt(bs)
+            sp = math.sqrt(2 * math.pi) * _normal_cdf(-b / a)
+            tail = np.exp(-np.maximum(hk, -100) / 2) * sp * b * (1 - c * bs * (1 - d * bs) / 3)
+            bvn = np.where(hk > -100, bvn - tail, bvn)
+            xs = (a / 2 * x) ** 2
+            asr = -(bs / xs + hk) / 2
+            sp = 1 + c * xs * (1 + 5 * d * xs)
+            rs = np.sqrt(1 - xs)
+            ep = np.exp(-(hk / 2) * xs / (1 + rs) ** 2) / rs
+            terms = np.where(asr > -100, np.exp(asr) * (sp - ep), 0.0)
+            bvn = (a / 2 * (w @ terms) - bvn) / (2 * math.pi)
+        if r > 0:
+            bvn = bvn + _normal_cdf(-np.maximum(h, k))
+        else:
+            between = np.where(
+                h < 0, _normal_cdf(k) - _normal_cdf(h), _normal_cdf(-h) - _normal_cdf(-k)
+            )
+            bvn = np.where(h >= k, -bvn, between - bvn)
+    upper[finite] = np.clip(bvn, 0.0, 1.0)
+    return upper
+
+
 class MultivariateNormal:
     """N(mean, cov) with exact leaf masses.
 
     Masses factorize over the split axes when those coordinates are
-    uncorrelated: per level one vectorized ``norm.cdf`` difference, multiplied
-    down the levels.  Otherwise each leaf's rectangle probability is summed by
-    inclusion-exclusion over its 2^d corners, one batched ``cdf`` of a single
-    frozen distribution per corner pattern.  scipy's CDF is deterministic in
-    2-D; from 3-D on it is a randomized quasi-Monte Carlo integral (seed 0),
-    whose stream runs across all leaves of a call.  Only ``leaf_masses``
-    imports ``scipy.stats`` (about 1.4 s), so sampling never loads it.
+    uncorrelated: per level one vectorized normal CDF difference, multiplied
+    down the levels.  Two correlated split axes take Genz's bivariate method
+    (``_bvnu``) for all leaves at once, four upper orthants per rectangle.
+    Neither path loads scipy.  Three or more correlated split axes take
+    scipy's randomized quasi-Monte Carlo CDF (seed 0), summed by
+    inclusion-exclusion over each leaf's 2^d corners with one batched call
+    per corner pattern; only that branch imports ``scipy.stats`` (about
+    0.8 s and 70 MB).
     """
 
     def __init__(self, mean, cov):
@@ -83,18 +185,30 @@ class MultivariateNormal:
         return sample_mvn(n, self.mean, self.cov, rng)
 
     def leaf_masses(self, tree: PartitionTree) -> np.ndarray:
-        from scipy.stats import multivariate_normal, norm
-
         axes = list(tree.axes)
         sub_cov = self.cov[np.ix_(axes, axes)]
         sub_mean = self.mean[axes]
+        try:
+            np.linalg.cholesky(sub_cov)
+        except np.linalg.LinAlgError:
+            raise np.linalg.LinAlgError(
+                f"covariance of the split axes {axes} is not positive definite"
+            ) from None
+        sd = np.sqrt(np.diag(sub_cov))
         lows, highs = leaf_edges(tree)
+        # (lower, upper) x split axis x leaf, in standard units
+        z = (np.array([lows, highs]) - sub_mean[:, None]) / sd[:, None]
         if len(axes) == 1 or not np.any(sub_cov - np.diag(np.diag(sub_cov))):
-            mass = 1.0
-            for mean, var, lo, hi in zip(sub_mean, np.diag(sub_cov), lows, highs):
-                sd = math.sqrt(var)
-                mass *= norm.cdf(hi, mean, sd) - norm.cdf(lo, mean, sd)
-            return mass
+            cdf = _normal_cdf(z)
+            return np.prod(cdf[1] - cdf[0], axis=0)
+        if len(axes) == 2:
+            (xl, yl), (xu, yu) = z
+            r = sub_cov[0, 1] / (sd[0] * sd[1])
+            u = _bvnu(np.concatenate([xl, xu, xl, xu]), np.concatenate([yl, yl, yu, yu]), r)
+            u = u.reshape(4, -1)  # U(xl, yl), U(xu, yl), U(xl, yu), U(xu, yu): orthants above
+            return np.clip(u[0] - u[1] - u[2] + u[3], 0.0, 1.0)
+        from scipy.stats import multivariate_normal
+
         dist = multivariate_normal(mean=sub_mean, cov=sub_cov, seed=0)
         total = np.zeros(tree.leaf_count)
         for mask in range(1 << len(axes)):  # inclusion-exclusion over the 2^d corners

@@ -225,8 +225,14 @@ class TestUsageErrors:
             (["fit", *FILES, "--depth", "x", "--branching", "4", "--epsilon", "0.05"],
              "argument --depth: invalid int value: 'x'"),
             (["threshold", "--epsilon", "abc"], "argument --epsilon: invalid float value: 'abc'"),
+            (["partition", "--model", "g.csv", "--depth", "2", "--branching", "4,x"],
+             "argument --branching: invalid int value: '4,x'"),
+            (["fit", *FILES, "--depth", "1", "--branching", "4", "--epsilon", "0.05",
+              "--bounds", "1"], "argument --bounds: invalid lo:hi pair of floats: '1'"),
+            (["partition", "--model", "g.csv", "--depth", "1", "--branching", "4",
+              "--bounds", "0:1,1:x"], "argument --bounds: invalid lo:hi pair of floats: '1:x'"),
         ],
-        ids=["depth", "epsilon"],
+        ids=["depth", "epsilon", "branching", "bounds-no-colon", "bounds-not-float"],
     )
     def test_unparsable_value_names_the_converter(self, capsys, argv, words):
         with pytest.raises(SystemExit) as exc:
@@ -577,7 +583,7 @@ GOLDEN_OUTPUTS = {
     "validate-theorem-4-shifted": (
         ["validate", "--theorem", "4", "--config", "shifted-normals",
          "--n1", "1000", "--n2", "20000", "--replicates", "10"],
-        "8bad18b9a9fb2f0c2ab63b22085da65a857841ba2002824f98039d455e8426ad",
+        "54c46e3ebf39679b22e20511e81d51defbca7698e222a84f9c3766db66cbf22a",
     ),
     "validate-theorem-2": (
         ["validate", "--theorem", "2", "--n", "100", "--replicates", "2000"],
@@ -687,22 +693,25 @@ class TestConsoleScript:
         assert json.loads(proc.stdout.rsplit("\n", 2)[0])["generator"] == generator
         assert proc.stdout.splitlines()[-1] == "[]"
 
-    # only a normal CDF loads scipy: theorem 4's exact leaf masses
+    # theorem 4's exact leaf masses take numpy's normal CDFs: no command loads scipy
     @pytest.mark.parametrize(
-        "argv, normal_cdf",
+        "argv",
         [
-            (["fit", "--mother", "{mother}", "--model", "{model}", "--depth", "3",
-              "--branching", "4", "--epsilon", "0.05"], False),
-            (["simulate", "--table", "1", "--n1", "500", "--n2", "5000"], False),
-            (["simulate", "--table", "5", "--k", "3", "--n2", "5000"], False),
-            (["validate", "--theorem", "2", "--n", "100", "--replicates", "100"], False),
-            (["validate", "--theorem", "3", "--n", "100", "--replicates", "5"], False),
-            (["validate", "--theorem", "4", "--n1", "100", "--n2", "1000",
-              "--replicates", "2"], True),
+            ["fit", "--mother", "{mother}", "--model", "{model}", "--depth", "3",
+             "--branching", "4", "--epsilon", "0.05"],
+            ["simulate", "--table", "1", "--n1", "500", "--n2", "5000"],
+            ["simulate", "--table", "5", "--k", "3", "--n2", "5000"],
+            ["validate", "--theorem", "2", "--n", "100", "--replicates", "100"],
+            ["validate", "--theorem", "3", "--n", "100", "--replicates", "5"],
+            ["validate", "--theorem", "4", "--config", "identical-normals", "--n1", "100",
+             "--n2", "1000", "--replicates", "2"],
+            ["validate", "--theorem", "4", "--config", "shifted-normals", "--n1", "100",
+             "--n2", "1000", "--replicates", "2"],
         ],
-        ids=["fit", "simulate-1", "simulate-5", "validate-2", "validate-3", "validate-4"],
+        ids=["fit", "simulate-1", "simulate-5", "validate-2", "validate-3",
+             "validate-4", "validate-4-shifted"],
     )
-    def test_which_commands_load_scipy(self, argv, normal_cdf, golden_files, tmp_path):
+    def test_which_commands_load_scipy(self, argv, golden_files, tmp_path):
         argv = [arg.format(**golden_files) for arg in argv]
         proc = run_checkout_python(
             "-c",
@@ -713,8 +722,7 @@ class TestConsoleScript:
         assert proc.returncode == 0, proc.stderr
         code, modules = proc.stdout.split(" ", 1)
         assert code == "0"
-        modules = ast.literal_eval(modules)
-        assert "scipy.stats" in modules if normal_cdf else modules == []
+        assert ast.literal_eval(modules) == []
 
     def test_module_invocation(self):
         proc = run_checkout_python("-m", "hellfit.cli", "threshold", "--epsilon", "0.01")

@@ -17,9 +17,10 @@ exported in ``hellfit.__all__``: a name that only tests call is dead code.
 Numbers are parsed from text in ``dataset.py`` alone, by its block parser: no
 module calls numpy's text readers, whose conversions differ from ``float()``.
 
-No module imports scipy when it loads: ``scipy.stats`` alone takes about 1.4 s,
-so scipy is imported inside the function that evaluates a normal CDF, and only
-the commands that call it pay for it.
+No module imports scipy when it loads: ``scipy.stats`` alone takes about 0.8 s
+and 70 MB, so scipy is imported only inside the functions that need it.  No CLI
+command reaches one: the only ``scipy.stats`` import left is the quasi-Monte
+Carlo CDF of correlated normal leaf masses over three or more split axes.
 """
 
 import ast

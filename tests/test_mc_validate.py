@@ -1,7 +1,9 @@
 import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.stats import multivariate_normal, norm
 
 from hellfit.criterion import evaluate_fitness, pairwise_marginal_scan
@@ -129,8 +131,22 @@ def reference_leaf_masses(tree, dist) -> np.ndarray:
     return np.array([reference_box_mass(dist, tree.axes, box) for box in boxes])
 
 
+# Absolute tolerance of a normal leaf mass against scipy: the per-box reference
+# evaluates the same CDFs, but through scipy's compiled erf and orthant code.
+NORMAL_ATOL = 1e-15
+
+
+def assert_matches_reference(dist, tree, got):
+    want = reference_leaf_masses(tree, dist)
+    if isinstance(dist, UniformCube):
+        assert got.tobytes() == want.tobytes()
+    else:
+        np.testing.assert_allclose(got, want, rtol=0, atol=NORMAL_ATOL)
+
+
 class TestLeafMassesDifferential:
-    """``leaf_masses`` against the per-box reference, byte for byte."""
+    """``leaf_masses`` against the per-box reference: byte for byte for the
+    cube, within ``NORMAL_ATOL`` for the normal."""
 
     DISTRIBUTIONS = {
         "cube-1": UniformCube(1),
@@ -161,7 +177,7 @@ class TestLeafMassesDifferential:
             dist.sample(2000, RngStream(20, seed)), PartitionSpec(depth=dist.k, branching=fans)
         )
         got = dist.leaf_masses(tree)
-        assert got.tobytes() == reference_leaf_masses(tree, dist).tobytes()
+        assert_matches_reference(dist, tree, got)
         assert np.all(got > 0) and got.sum() == pytest.approx(1.0, abs=1e-5)
 
     @pytest.mark.parametrize("name", sorted(DISTRIBUTIONS))
@@ -170,15 +186,14 @@ class TestLeafMassesDifferential:
         for grid in self.GRIDS[dist.k]:
             tree = grid_tree(grid)
             assert np.isinf(tree.bounds).all()
-            got = dist.leaf_masses(tree)
-            assert got.tobytes() == reference_leaf_masses(tree, dist).tobytes()
+            assert_matches_reference(dist, tree, dist.leaf_masses(tree))
 
     def test_permuted_axes(self):
         dist = MultivariateNormal.shifted(3, 0.1, 0.5)
         tree = build_moving_partition(
             dist.sample(2000, RngStream(21)), PartitionSpec(depth=2, branching=4, axis_order=(2, 0))
         )
-        assert dist.leaf_masses(tree).tobytes() == reference_leaf_masses(tree, dist).tobytes()
+        assert_matches_reference(dist, tree, dist.leaf_masses(tree))
 
     def test_correlated_3d_within_qmc_error(self):
         # scipy integrates d >= 3 by randomized QMC; one batched call per
@@ -189,6 +204,82 @@ class TestLeafMassesDifferential:
         )
         got = dist.leaf_masses(tree)
         assert np.max(np.abs(got - reference_leaf_masses(tree, dist))) < 1e-4
+
+
+class TestBivariateMasses:
+    """Two correlated split axes against scipy's rectangle probability, box by
+    box, across the orthant method's branches: the 6, 12 and 20-point rules,
+    the expansion for |r| >= 0.925, negative r, infinite limits and h = k."""
+
+    CORRELATIONS = [-0.999, -0.95, -0.6, -0.2, 0.0, 0.0864, 0.5, 0.74, 0.76, 0.924, 0.926, 0.99]
+    BREAKS = [-2.5, -0.7, 0.2, 0.9, 3.1]
+    GRIDS = [[BREAKS, BREAKS], [BREAKS, [-1.0, 0.2]], [[], BREAKS], [[], []]]
+
+    @pytest.mark.parametrize("r", CORRELATIONS)
+    @pytest.mark.parametrize("scales", [(1.5, 1.5), (0.7, 2.0)], ids=["equal", "unequal"])
+    def test_matches_scipy_rectangles(self, r, scales):
+        # equal scales and a shared mean make h = k on the diagonal corners
+        mean = np.array([0.2, 0.2])
+        s1, s2 = scales
+        cov = np.array([[s1 * s1, r * s1 * s2], [r * s1 * s2, s2 * s2]])
+        dist = MultivariateNormal(mean, cov)
+        joint = multivariate_normal(mean, cov)
+        for grid in self.GRIDS:
+            tree = grid_tree(grid)
+            lows, highs = leaf_edges(tree)
+            want = [joint.cdf(hi, lower_limit=lo) for lo, hi in zip(lows.T, highs.T)]
+            np.testing.assert_allclose(dist.leaf_masses(tree), want, rtol=0, atol=NORMAL_ATOL)
+
+    @given(
+        r=st.floats(-0.999, 0.999),
+        scales=st.tuples(st.floats(0.1, 10.0), st.floats(0.1, 10.0)),
+        mean=st.tuples(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0)),
+        grid=st.lists(
+            st.lists(st.floats(-8.0, 8.0), max_size=5).map(sorted), min_size=2, max_size=2
+        ),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_masses_are_a_distribution(self, r, scales, mean, grid):
+        s1, s2 = scales
+        cov = [[s1 * s1, r * s1 * s2], [r * s1 * s2, s2 * s2]]
+        masses = MultivariateNormal(mean, cov).leaf_masses(grid_tree(grid))
+        assert np.all(masses >= 0)
+        assert abs(masses.sum() - 1.0) <= 1e-12
+
+
+class TestNotPositiveDefinite:
+    """A split sub-covariance that is not positive definite raises, on every path."""
+
+    @pytest.mark.parametrize(
+        "cov",
+        [
+            [[0.0]],
+            [[-1.0]],
+            np.diag([1.0, 0.0]),
+            np.diag([1.0, -1.0]),
+            [[1.0, 1.0], [1.0, 1.0]],
+            [[1.0, 2.0], [2.0, 1.0]],
+            [[1.0, 0.9, 0.9], [0.9, 1.0, -0.9], [0.9, -0.9, 1.0]],
+        ],
+        ids=["zero", "negative", "zero-factorized", "negative-factorized", "singular-2",
+             "indefinite-2", "indefinite-3"],
+    )
+    def test_raises_naming_the_axes(self, cov):
+        cov = np.asarray(cov)
+        dist = MultivariateNormal(np.zeros(len(cov)), cov)
+        tree = grid_tree([[0.0]] * len(cov))
+        axes = list(range(len(cov)))
+        with pytest.raises(np.linalg.LinAlgError, match=re.escape(f"split axes {axes}")):
+            dist.leaf_masses(tree)
+
+    def test_only_the_split_axes_are_checked(self):
+        # axis 1 has zero variance but is never split
+        dist = MultivariateNormal([0.0, 0.0, 0.0], np.diag([1.0, 0.0, 2.0]))
+        tree = build_moving_partition(
+            Dataset(RngStream(23).generator().standard_normal((400, 3))),
+            PartitionSpec(depth=2, branching=2, axis_order=(2, 0)),
+        )
+        assert dist.leaf_masses(tree).sum() == pytest.approx(1.0, abs=1e-12)
 
 
 class TestMovingRisk:
