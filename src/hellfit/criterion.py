@@ -105,7 +105,7 @@ def score_fitness(tree: PartitionTree, mother: Dataset, epsilon: float) -> Fitne
         threshold=threshold,
         verdict="close" if lhs < threshold else "not-shown-close",
         implied_epsilon=eps_implied,
-        implied_bayes_error=0.5 - eps_implied,
+        implied_bayes_error=max(0.0, 0.5 - eps_implied),  # a rate: lhs > 2 gives eps > 1/2
         zero_bins=int(np.count_nonzero(counts == 0)),
     )
 

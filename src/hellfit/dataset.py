@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import locale
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -84,9 +85,11 @@ def load_dataset(path, bounds=None) -> Dataset:
     Numbers are read by one vectorized decimal parser over blocks of about
     ``_BLOCK_BYTES`` bytes, each cut at a line end, whose columns are joined
     once into a column-major array; it gives exactly the values ``float()``
-    gives.  A plain file (ASCII, no line break but ``\\n``) is read from disk
-    once, block by block, and never held whole, whether it is good or bad;
-    any other file is read as text and split with ``splitlines``.
+    gives.  Every file is read from disk once, block by block, and never
+    held whole, whether it is good or bad.  A block that is not plain (ASCII,
+    no line break but ``\\n``) is decoded where it is read, with
+    ``locale.getpreferredencoding(False)``, the encoding ``Path.read_text``
+    uses, and split with ``splitlines``.
 
     A cell ``[+-]?digits[.digits]([eE][+-]?d{1,3})?`` whose mantissa (the
     bytes before the e) has at most ``_CELL`` bytes and whose digits form an
@@ -103,10 +106,7 @@ def load_dataset(path, bounds=None) -> Dataset:
     ``float()``.
     """
     try:
-        try:
-            values = _parse_blocks(_file_blocks(path))
-        except _NotPlain:
-            values = _parse_blocks(_text_blocks(Path(path).read_text().splitlines()))
+        values = _parse_blocks(_file_blocks(path))
     except ParseError as exc:
         raise ParseError(f"{path}: {exc}") from None
     return Dataset(values, tuple(bounds) if bounds else ())
@@ -127,45 +127,41 @@ _BLOCK_BYTES = 1 << 20
 _NOT_PLAIN = (b"\r", b"\x0b", b"\x0c", b"\x1c", b"\x1d", b"\x1e")  # line breaks but \n
 
 
-class _NotPlain(Exception):
-    """A file whose bytes are not its normalized text: it must be normalized first."""
-
-
 class _BadCell(Exception):
     """A cell ``float()`` rejects or reads as non-finite; args: what is wrong, the cell's index."""
 
 
 def _file_blocks(path):
-    """The bytes of a plain file in blocks of whole lines; a last line without ``\\n`` gets one.
+    """A file's lines in blocks, each line ending in ``\\n``; a last line without one gets one.
 
-    Raises _NotPlain at the first block that is not ASCII or holds a line
-    break but ``\\n``.
+    A block is cut after a ``\\n``, a byte no UTF-8 sequence holds and the
+    end of any ``\\r\\n``, so its lines are lines of the file's text.  A plain
+    block (ASCII, no line break but ``\\n``) is yielded as it is.  Any other
+    is decoded with ``locale.getpreferredencoding(False)``, as
+    ``Path.read_text`` decodes, split with ``splitlines``, its
+    whitespace-only lines emptied, so they read as blank lines of a plain
+    block, and encoded as UTF-8.  A block that does not decode raises the
+    UnicodeDecodeError of ``Path.read_text``, which gives its offset in the
+    file.
     """
     tail = b""
     with open(path, "rb") as fh:
-        while chunk := fh.read(_BLOCK_BYTES):
-            if not chunk.isascii() or any(mark in chunk for mark in _NOT_PLAIN):
-                raise _NotPlain
+        while chunk := fh.read(_BLOCK_BYTES) or tail and b"\n":  # then the last line's \n
             block = tail + chunk
             cut = block.rfind(b"\n") + 1
-            if cut:
-                yield memoryview(block)[:cut]
             tail = block[cut:]
-    if tail:
-        yield tail + b"\n"
-
-
-def _text_blocks(lines):
-    """``lines``, each ended by ``\\n`` and UTF-8 encoded, in blocks of whole lines.
-
-    A whitespace-only line is emptied, so it reads as a blank line of a plain file.
-    """
-    data = "".join((line if line.strip() else "") + "\n" for line in lines).encode()
-    view, at = memoryview(data), 0
-    while at < len(data):
-        cut = (data.rfind(b"\n", at, at + _BLOCK_BYTES) + 1) or (data.find(b"\n", at) + 1)
-        yield view[at:cut]
-        at = cut
+            if not cut:
+                continue
+            if block.isascii() and not any(mark in block for mark in _NOT_PLAIN):
+                yield memoryview(block)[:cut]
+                continue
+            try:
+                text = block[:cut].decode(locale.getpreferredencoding(False))
+            except UnicodeDecodeError:
+                Path(path).read_text()  # raises the same error, at its offset in the file
+                raise
+            lines = text.splitlines()
+            yield "".join((line if line.strip() else "") + "\n" for line in lines).encode()
 
 
 def _parse_blocks(blocks):
@@ -174,8 +170,9 @@ def _parse_blocks(blocks):
     Each block holds whole lines, each ending in ``\\n``; a blank line holds
     nothing but space, tab and ``\\x1f``.  A block is parsed as it is, and
     only if that fails, again without its blank lines, to raise the first
-    error.  ParseError is raised once every block is read: a later block of
-    a file that is not plain raises _NotPlain instead.
+    error.  ParseError is raised once every block is read: a later block
+    that does not decode raises its UnicodeDecodeError instead, as
+    ``Path.read_text`` would before any parse.
     """
     columns = []  # (k, rows) per block, so the transpose of their join is column-major
     line, header = 1, True  # line: the number of the block's first line
@@ -193,7 +190,7 @@ def _parse_blocks(blocks):
             try:
                 header = _block_rows(buf, *_cell_ends(buf), header, columns, numbers)
             except ParseError:
-                # read on: a later block that is not plain sends the file to read_text
+                # read on: a later block that does not decode raises first
                 for _ in blocks:
                     pass
                 raise

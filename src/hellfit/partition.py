@@ -135,7 +135,8 @@ def leaf_edges(tree: PartitionTree) -> tuple[np.ndarray, np.ndarray]:
     """
     lows, highs = [], []
     for axis, level in zip(tree.axes, tree.breaks):
-        edges = np.pad(level, ((0, 0), (1, 1)), constant_values=tree.bounds[axis])
+        lo, hi = tree.bounds[axis]
+        edges = np.column_stack([np.full(len(level), lo), level, np.full(len(level), hi)])
         below = tree.leaf_count // edges[:, 1:].size  # leaves under each child
         lows.append(np.repeat(edges[:, :-1].ravel(), below))
         highs.append(np.repeat(edges[:, 1:].ravel(), below))

@@ -81,6 +81,20 @@ class TestFit:
         assert code == 0 and out == ""
         assert "verdict" in json.loads(out_path.read_text())
 
+    def test_bayes_error_is_never_negative(self, capsys, tmp_path):
+        # five rows make the bias terms large: lhs > 2, so eps = sqrt(lhs / 8) > 1/2
+        path = str(tmp_path / "five.csv")
+        save_dataset(Dataset(np.arange(1.0, 11.0).reshape(5, 2)), path)
+        code, out, _ = run_cli(
+            capsys,
+            ["fit", "--mother", path, "--model", path,
+             "--depth", "2", "--branching", "2", "--epsilon", "0.1"],
+        )
+        payload = json.loads(out)
+        assert code == 0 and payload["lhs"] > 2 and payload["implied_epsilon"] > 0.5
+        assert payload["implied_bayes_error"] == 0.0
+        jsonschema.validate(payload, load_schema("fitness_report.schema.json"))
+
     def test_pretty_format(self, sample_files, capsys):
         mother, model = sample_files
         code, out, _ = run_cli(
@@ -136,8 +150,8 @@ class TestFitIngest:
             path.write_bytes(text.encode())
             return str(path)
 
-        # an empty line keeps the vectorized parse; a whitespace-only one
-        # sends the file through the line-by-line parse
+        # CRLF breaks: each block is decoded and split where it is read, and
+        # the whitespace-only line is emptied there, so it reads as blank
         code, out, _ = run_cli(
             capsys,
             ["fit", "--mother", write(mother, "mother.csv", "  "),

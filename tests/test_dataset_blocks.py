@@ -170,7 +170,8 @@ def test_splitlines_breaks_in_tiny_blocks(csv_path, tiny_blocks, text, cell):
 
 @pytest.mark.parametrize(
     "text", cases(oracle.test_well_formed_input_skips_the_line_parse)
-    + ["id,x\n" + "123456789012345678901234567890.5,1\n" * 3, "a,b\n1,2\n\x1f\n3,4"],
+    + ["id,x\n" + "123456789012345678901234567890.5,1\n" * 3, "a,b\n1,2\n\x1f\n3,4",
+       "abcd\xe9,x\n1,2\n"],  # \xe9 is two bytes in UTF-8, split by the first 5-byte read
 )
 def test_well_formed_input_in_tiny_blocks(csv_path, tiny_blocks, monkeypatch, text):
     oracle.test_well_formed_input_skips_the_line_parse(csv_path, text, monkeypatch)
@@ -186,23 +187,31 @@ def test_bad_plain_input_in_tiny_blocks(csv_path, tiny_blocks, monkeypatch, text
 
 
 @pytest.mark.parametrize(
+    "text",
+    cases(oracle.test_a_later_block_that_is_not_plain_is_read_once),
+    ids=["crlf-last", "nbsp-last"],
+)
+def test_a_later_block_that_is_not_plain_in_tiny_blocks(csv_path, tiny_blocks, monkeypatch, text):
+    oracle.test_a_later_block_that_is_not_plain_is_read_once(csv_path, text, monkeypatch)
+
+
+@pytest.mark.parametrize(
     "late, error, words",
     [(b"\xff", UnicodeDecodeError, "can't decode byte 0xff"),
      (b"\xc3\xa9", dataset.ParseError, "non-numeric cell (1,2)")],
 )
 def test_a_bad_cell_waits_for_the_later_blocks(csv_path, tiny_blocks, late, error, words):
-    """A later byte that is not plain sends the file to ``read_text``, whose error comes first."""
+    """A later block that does not decode beats an earlier bad cell, with read_text's error."""
     csv_path.write_bytes(b"1,x\n" + b"1,2\n" * 3 + b"3," + late + b"\n")
     got = oracle.outcome(dataset.load_dataset, csv_path)
     assert got == oracle.outcome(oracle.ref_load_dataset, csv_path)
     assert got[1] is error and words in got[2]
 
 
-ROWS = "".join(f"{i},{i + 1},{i / 4}\n" for i in range(40))
-
-
 @pytest.mark.parametrize(
-    "text", ["x,y,z\n" + ROWS, ROWS.replace("\n", "\r\n")], ids=["plain", "normalized"]
+    "text",
+    ["x,y,z\n" + oracle.ROWS, oracle.ROWS.replace("\n", "\r\n")],
+    ids=["plain", "normalized"],
 )
 def test_loaded_matrix_is_the_join_of_the_blocks(csv_path, monkeypatch, text):
     """The Dataset keeps the block parser's joined array: no second copy of the values."""

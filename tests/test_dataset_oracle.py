@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from hellfit import dataset
 from hellfit.dataset import Dataset, ParseError, load_dataset, save_dataset
 
 pytestmark = [
@@ -236,12 +237,34 @@ def test_well_formed_input_skips_the_line_parse(csv_path, text, monkeypatch):
     reads = count_text_reads(monkeypatch)
     got = load_dataset(csv_path).values
     assert got.shape == expected.shape and got.tobytes() == expected.tobytes()
-    assert reads == [] or not is_plain(text), "a plain file was read twice"
+    assert reads == [], "a file was read twice"
 
 
 def is_plain(text):
-    """ASCII with no line break but \\n: the loader reads such a file from disk once."""
+    """ASCII with no line break but \\n: the loader parses such a block as it is read."""
     return text.isascii() and not any(mark in text for mark in "\r\x0b\x0c\x1c\x1d\x1e")
+
+
+ROWS = "".join(f"{i},{i + 1},{i / 4}\n" for i in range(40))
+
+
+@pytest.mark.parametrize(
+    "text", [ROWS + "5,6,7\r\n", ROWS + "5,6,\xa07\n"], ids=["crlf-last", "nbsp-last"]
+)
+def test_a_later_block_that_is_not_plain_is_read_once(csv_path, text, monkeypatch):
+    """Blocks parsed before one that is not plain are kept: every line is parsed once."""
+    assert is_plain(ROWS) and not is_plain(text)
+    csv_path.write_text(text)
+    expected = ref_load_dataset(csv_path).values
+    reads, blocks = count_text_reads(monkeypatch), []
+    parse = dataset._parse_blocks
+    monkeypatch.setattr(
+        dataset, "_parse_blocks", lambda given: parse(blocks.append(bytes(b)) or b for b in given)
+    )
+    got = load_dataset(csv_path).values
+    assert got.shape == expected.shape and got.tobytes() == expected.tobytes()
+    assert reads == []
+    assert b"".join(blocks) == "".join(line + "\n" for line in text.splitlines()).encode()
 
 
 def count_text_reads(monkeypatch):
