@@ -3,9 +3,12 @@
 from __future__ import annotations
 
 import locale
+import os
 import sys
+from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -85,8 +88,12 @@ def load_dataset(path, bounds=None) -> Dataset:
     Numbers are read by one vectorized decimal parser over blocks of about
     ``_BLOCK_BYTES`` bytes, each cut at a line end, whose columns are joined
     once into a column-major array; it gives exactly the values ``float()``
-    gives.  Every file is read from disk once, block by block, and never
-    held whole, whether it is good or bad.  A block that is not plain (ASCII,
+    gives.  Every file is read from disk once, block by block, by the calling
+    thread alone, and never held whole, whether it is good or bad.  Each
+    block's cells are found and parsed on a pool of one thread per usable
+    CPU, at most that many blocks ahead of the one being taken; the blocks
+    are taken in file order, so the values and the first error are those
+    of a one-thread parse.  A block that is not plain (ASCII,
     no line break but ``\\n``) is decoded where it is read, with
     ``locale.getpreferredencoding(False)``, the encoding ``Path.read_text``
     uses, and split with ``splitlines``.
@@ -168,72 +175,119 @@ def _parse_blocks(blocks):
     """The data rows of ``blocks`` as a column-major float matrix.
 
     Each block holds whole lines, each ending in ``\\n``; a blank line holds
-    nothing but space, tab and ``\\x1f``.  A block is parsed as it is, and
-    only if that fails, again without its blank lines, to raise the first
+    nothing but space, tab and ``\\x1f``.  The caller's thread is the only
+    one that reads ``blocks``.  Each block it reads is scanned on a pool of
+    one thread per usable CPU (``usable_cpus``), and at most that many
+    blocks are scanned ahead of the one taken, so no more than workers + 1
+    blocks are held at once.  The scans are taken in file order, and the
+    rest runs on the caller's thread: a block is parsed as it is, and only
+    if that fails, again without its blank lines, to raise the first
     error.  ParseError is raised once every block is read: a later block
     that does not decode raises its UnicodeDecodeError instead, as
     ``Path.read_text`` would before any parse.
     """
+    from concurrent.futures import ThreadPoolExecutor
+
     columns = []  # (k, rows) per block, so the transpose of their join is column-major
     line, header = 1, True  # line: the number of the block's first line
-    for block in blocks:
-        buf = np.frombuffer(block, np.uint8)
-        ends, lasts = _cell_ends(buf)
-        try:
-            header = _block_rows(buf, ends, lasts, header, columns, range(line, line + lasts.size))
-        except ParseError:  # perhaps only a blank line: parse again without them
-            starts = np.concatenate(([0], ends[lasts[:-1]] + 1))
-            solid = (buf != 32) & (buf != 9) & (buf != 31) & (buf != 10)  # not blank or \n
-            kept = np.logical_or.reduceat(solid, starts)  # the lines that are not blank
-            buf = buf[np.repeat(kept, np.diff(starts, append=buf.size))]
-            numbers = line + np.flatnonzero(kept)
+    workers = usable_cpus()
+    with ThreadPoolExecutor(workers) as pool:
+        for scan in _scans_in_order(blocks, pool, workers):
             try:
-                header = _block_rows(buf, *_cell_ends(buf), header, columns, numbers)
-            except ParseError:
-                # read on: a later block that does not decode raises first
-                for _ in blocks:
-                    pass
-                raise
-        line += lasts.size
+                header = _block_rows(scan, header, columns, range(line, line + scan.lasts.size))
+            except ParseError:  # perhaps only a blank line: parse again without them
+                buf, ends, lasts = scan.buf, scan.ends, scan.lasts
+                starts = np.concatenate(([0], ends[lasts[:-1]] + 1))
+                solid = (buf != 32) & (buf != 9) & (buf != 31) & (buf != 10)  # not blank or \n
+                kept = np.logical_or.reduceat(solid, starts)  # the lines that are not blank
+                buf = buf[np.repeat(kept, np.diff(starts, append=buf.size))]
+                numbers = line + np.flatnonzero(kept)
+                try:
+                    header = _block_rows(_scan(buf), header, columns, numbers)
+                except ParseError:
+                    # read on: a later block that does not decode raises first
+                    for _ in blocks:
+                        pass
+                    raise
+            line += scan.lasts.size
     if not columns:
         raise ParseError("empty input")
     joined = np.empty((columns[0].shape[0], sum(block.shape[1] for block in columns)))
     return np.concatenate(columns, axis=1, out=joined).T  # C-ordered join: the Dataset keeps it
 
 
-def _cell_ends(buf):
-    """The index in ``buf`` of each cell's end, a comma or ``\\n``.
+def usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity set, or every CPU where there is none."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
-    And the index in those of each line's last cell.
+
+def _scans_in_order(blocks, pool, ahead):
+    """``_scan`` of each block on ``pool``, in order, with at most ``ahead`` more in flight."""
+    pending = deque()
+    for block in blocks:
+        pending.append(pool.submit(_scan, block))
+        if len(pending) > ahead:
+            yield pending.popleft().result()
+    while pending:
+        yield pending.popleft().result()
+
+
+class _Scan(NamedTuple):
+    """A block's bytes and cells, with the kernel's reading of each cell."""
+
+    buf: np.ndarray  # the block's bytes
+    starts: np.ndarray  # each cell's first byte in buf
+    ends: np.ndarray  # each cell's end in buf, a comma or \n
+    lasts: np.ndarray  # the index in those of each line's last cell
+    values: np.ndarray  # the kernel's value of each cell
+    bad: np.ndarray  # the cells the kernel leaves to float(): their values mean nothing
+
+
+def _scan(block):
+    """The order-free part of a block's parse: its cells, and the kernel over all of them.
+
+    Each cell's value and mask bit depend on its own bytes alone, so those
+    of any run of cells are what a scan of that run alone would give.
     """
+    buf = np.frombuffer(block, np.uint8)
     ends = np.flatnonzero((buf == 44) | (buf == 10))
-    return ends, np.flatnonzero(buf[ends] == 10)
+    lasts = np.flatnonzero(buf[ends] == 10)
+    starts = np.empty_like(ends)
+    starts[:1], starts[1:] = 0, ends[:-1] + 1
+    if _EXTENDED and ends.size:
+        values, bad = _decimal_values(buf, starts, ends)
+    else:
+        values, bad = np.empty(ends.size), np.ones(ends.size, bool)
+    return _Scan(buf, starts, ends, lasts, values, bad)
 
 
-def _block_rows(buf, ends, lasts, header, columns, numbers):
-    """Append the data rows of a block to ``columns``; return whether the header is still to come.
+def _block_rows(scan, header, columns, numbers):
+    """Append the data rows of a scanned block to ``columns``; return whether the header is still to come.
 
-    ``numbers`` are the line numbers of the lines of ``buf``.  Raises
+    ``numbers`` are the line numbers of the block's lines.  Raises
     ParseError at the first failing line, and at a blank first line while
     the header is still to come.
     """
+    buf, starts, ends, lasts, values, bad = scan
     if header and lasts.size:
         first = lasts[0] + 1  # the cells of the first line
-        cut = ends[first - 1] + 1  # its bytes, with the \n
-        text = buf[: cut - 1].tobytes().decode()
+        text = buf[: ends[first - 1]].tobytes().decode()
         if not text.strip(" \t\x1f"):
             raise ParseError(f"blank line {numbers[0]}")
         header = False
         if _is_header(text):
-            buf, ends, lasts = buf[cut:], ends[first:] - cut, lasts[1:] - first
-            numbers = numbers[1:]
+            starts, ends, values, bad = starts[first:], ends[first:], values[first:], bad[first:]
+            lasts, numbers = lasts[1:] - first, numbers[1:]
     if not lasts.size:
         return header
     widths = np.diff(lasts, prepend=-1)
     width = columns[0].shape[0] if columns else int(widths[0])
     ragged = np.flatnonzero(widths != width)
+    cells = lasts[ragged[0]] + 1 if ragged.size else ends.size
     try:  # the cells up to the first ragged row: a bad cell in that row comes first
-        values = _cell_values(buf, ends[: lasts[ragged[0]] + 1] if ragged.size else ends)
+        _float_cells(buf, starts, ends, values, bad[:cells])
     except _BadCell as exc:
         words, cell = exc.args
         row = np.searchsorted(lasts, cell)
@@ -256,18 +310,11 @@ _EXTENDED = (
 )
 
 
-def _cell_values(buf, ends):
-    """``float()`` of every cell of ``buf``, bit for bit; raises _BadCell at the first bad one.
+def _float_cells(buf, starts, ends, values, bad):
+    """Set ``values`` of the cells in ``bad`` to ``float()`` of them; raises _BadCell at the first bad one.
 
-    Cell i is ``buf[ends[i - 1] + 1 : ends[i]]`` (the first starts at 0).
+    Cell i is ``buf[starts[i] : ends[i]]``.
     """
-    n = ends.size
-    starts = np.empty_like(ends)
-    starts[0], starts[1:] = 0, ends[:-1] + 1
-    if _EXTENDED:
-        values, bad = _decimal_values(buf, starts, ends)
-    else:
-        values, bad = np.empty(n), np.ones(n, bool)
     for i in np.flatnonzero(bad):
         try:
             value = float(buf[starts[i] : ends[i]].tobytes().decode())
@@ -276,7 +323,6 @@ def _cell_values(buf, ends):
         if not np.isfinite(value):
             raise _BadCell("non-finite", i)
         values[i] = value
-    return values
 
 
 def _decimal_values(buf, starts, ends):
@@ -358,12 +404,18 @@ def _decimal_values(buf, starts, ends):
     return values, bad
 
 
+_SAVE_ROWS = 1 << 16
+
+
 def save_dataset(dataset: Dataset, path) -> None:
-    """Write values back as CSV, losslessly (shortest round-trip floats)."""
-    reprs = map(repr, dataset.values.ravel().tolist())  # row after row
-    text = "\n".join(map(",".join, zip(*[reprs] * dataset.k)))  # k cells a line
+    """Write values back as CSV, losslessly (shortest round-trip floats).
+
+    Rows are written ``_SAVE_ROWS`` at a time, so the text is never held whole.
+    """
     with open(path, "w") as fh:
-        fh.write(text + "\n")
+        for at in range(0, dataset.n, _SAVE_ROWS):
+            reprs = map(repr, dataset.values[at : at + _SAVE_ROWS].ravel().tolist())  # row after row
+            fh.write("\n".join(map(",".join, zip(*[reprs] * dataset.k))) + "\n")  # k cells a line
 
 
 def ar_covariance(k: int, rho: float) -> np.ndarray:

@@ -58,6 +58,26 @@ class TestFit:
         assert len(payload["ks_baseline"]) == 2
         jsonschema.validate(payload, load_schema("fitness_report.schema.json"))
 
+    @pytest.mark.parametrize("k", [1, 2, 5])
+    def test_ks_baseline_is_the_serial_per_column_list(self, capsys, tmp_path, k):
+        """The columns' KS tests run on a thread pool; the payload has them in column order."""
+        rng = RngStream(7, k).generator()
+        mother = Dataset(rng.standard_normal((3000, k)).round(2))  # ties
+        model = Dataset(rng.standard_normal((9000, k)) + 0.05)
+        save_dataset(mother, tmp_path / "mother.csv")
+        save_dataset(model, tmp_path / "model.csv")
+        code, out, _ = run_cli(
+            capsys,
+            ["fit", "--mother", str(tmp_path / "mother.csv"), "--model", str(tmp_path / "model.csv"),
+             "--depth", "1", "--branching", "4", "--epsilon", "0.05"],
+        )
+        assert code == 0
+        serial = [ks_two_sample(mother.values[:, i], model.values[:, i]) for i in range(k)]
+        got = [(test["statistic"], test["p_value"]) for test in json.loads(out)["ks_baseline"]]
+        assert [tuple(map(float.hex, test)) for test in got] == [
+            tuple(map(float.hex, test)) for test in serial
+        ]
+
     def test_verdict_not_in_exit_code(self, sample_files, capsys, tmp_path):
         mother, model = sample_files
         # force a clearly failing comparison; exit code must still be 0

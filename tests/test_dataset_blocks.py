@@ -1,7 +1,11 @@
 """The block parser of ``load_dataset``: its number kernel against ``float()``,
 and the loader's differential tests again with blocks of a few bytes."""
 
+import os
 import struct
+import sys
+import threading
+import time
 from decimal import Decimal
 
 import numpy as np
@@ -13,13 +17,13 @@ from hellfit import dataset
 
 
 def kernel(cells):
-    """``dataset._cell_values`` on ``cells``, one a line."""
-    text = "".join(cell + "\n" for cell in cells).encode()
-    buf = np.frombuffer(text, np.uint8)
+    """A block scan and its ``float()`` fallback on ``cells``, one a line."""
+    scan = dataset._scan("".join(cell + "\n" for cell in cells).encode())
     try:
-        return dataset._cell_values(buf, np.flatnonzero(buf == 10))
+        dataset._float_cells(scan.buf, scan.starts, scan.ends, scan.values, scan.bad)
     except dataset._BadCell:
         return None
+    return scan.values
 
 
 def reference(cells):
@@ -224,3 +228,113 @@ def test_loaded_matrix_is_the_join_of_the_blocks(csv_path, monkeypatch, text):
     assert values.flags.f_contiguous
     assert np.shares_memory(values, joins[-1])
     assert values.tolist() == [[i, i + 1, i / 4] for i in range(40)]
+
+
+# ---------------------------------------------------------------- the scan pool
+
+
+def one_block_a_row(count):
+    """``count`` distinct 5-byte rows: with 5-byte reads, row i is block i."""
+    return [f"{10 + i},{i % 10}\n" for i in range(count)]
+
+
+def slow_even_scans(monkeypatch, rows):
+    """Scans that sleep on the even blocks of ``rows`` (numbered from 1), so
+    later blocks finish first; returns the block numbers in the order their
+    scans finished."""
+    number = {row.encode(): i for i, row in enumerate(rows, 1)}
+    finished, scan = [], dataset._scan
+
+    def slow(block):
+        if number[bytes(block)] % 2 == 0:
+            time.sleep(0.02)
+        result = scan(block)
+        finished.append(number[bytes(block)])
+        return result
+
+    monkeypatch.setattr(dataset, "_scan", slow)
+    return finished
+
+
+def test_blocks_finishing_out_of_order_are_taken_in_file_order(csv_path, tiny_blocks, monkeypatch):
+    rows = one_block_a_row(12)
+    finished = slow_even_scans(monkeypatch, rows)
+    csv_path.write_text("".join(rows))
+    got = oracle.outcome(dataset.load_dataset, csv_path)
+    assert got == oracle.outcome(oracle.ref_load_dataset, csv_path) and got[0] == "ok"
+    assert sorted(finished) == list(range(1, 13))
+    if dataset.usable_cpus() > 1:
+        assert finished != sorted(finished)
+
+
+@pytest.mark.parametrize("later", [3, 5])
+def test_the_first_bad_cell_in_file_order_wins_out_of_order(csv_path, tiny_blocks, monkeypatch, later):
+    rows = one_block_a_row(12)
+    rows[1], rows[later - 1] = "11,x\n", "x4,4\n"  # blocks 2 and later: cells (2,2) and (later,1)
+    slow_even_scans(monkeypatch, rows)
+    csv_path.write_text("".join(rows))
+    got = oracle.outcome(dataset.load_dataset, csv_path)
+    assert got == oracle.outcome(oracle.ref_load_dataset, csv_path)
+    assert got[1] is dataset.ParseError and got[2].endswith("non-numeric cell (2,2)")
+
+
+@pytest.mark.parametrize("late", [3, 8])  # within the pool's reach of block 2, and beyond it
+def test_a_later_block_that_does_not_decode_beats_a_bad_cell_out_of_order(
+    csv_path, tiny_blocks, monkeypatch, late
+):
+    rows = one_block_a_row(12)
+    rows[1] = "11,x\n"
+    slow_even_scans(monkeypatch, rows)
+    csv_path.write_bytes("".join(rows).encode().replace(rows[late - 1].encode(), b"13,\xff\n"))
+    got = oracle.outcome(dataset.load_dataset, csv_path)
+    assert got == oracle.outcome(oracle.ref_load_dataset, csv_path)
+    assert got[1] is UnicodeDecodeError
+
+
+@pytest.mark.parametrize("cpus", [1, None, 8], ids=["one-cpu", "all-cpus", "eight-cpus"])
+def test_at_most_workers_plus_one_blocks_in_flight(csv_path, tiny_blocks, monkeypatch, cpus):
+    """Counting the block being taken, no more than workers + 1 are scanned or being scanned.
+
+    Eight CPUs are more workers than most hosts have cores, and the threads
+    switch every 10 us, so the reader and the scans interleave finely.
+    """
+    if cpus:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+    workers = dataset.usable_cpus()
+    assert workers == (cpus or len(os.sched_getaffinity(0)))
+    rows = one_block_a_row(30)
+    scanned, taken, in_flight = [], [], []
+    scan, block_rows = dataset._scan, dataset._block_rows
+
+    def counted_scan(block):
+        scanned.append(block)
+        return scan(block)
+
+    def counted_rows(*args):
+        in_flight.append(len(scanned) - len(taken))
+        taken.append(args)
+        return block_rows(*args)
+
+    monkeypatch.setattr(dataset, "_scan", counted_scan)
+    monkeypatch.setattr(dataset, "_block_rows", counted_rows)
+    csv_path.write_text("".join(rows))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        got = oracle.outcome(dataset.load_dataset, csv_path)
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == oracle.outcome(oracle.ref_load_dataset, csv_path) and got[0] == "ok"
+    assert len(taken) == len(scanned) == 30
+    assert max(in_flight) <= workers + 1
+
+
+@pytest.mark.parametrize(
+    "data", [b"1,2\n3,4\n" * 8, b"1,2\n3,x\n" * 8, b"1,2\n" * 8 + b"\xff\n"],
+    ids=["good", "parse-error", "decode-error"],
+)
+def test_the_pool_leaves_no_thread_behind(csv_path, tiny_blocks, data):
+    before = threading.active_count()
+    csv_path.write_bytes(data)
+    oracle.outcome(dataset.load_dataset, csv_path)
+    assert threading.active_count() == before

@@ -332,3 +332,12 @@ def test_writer_matches_reference(tmp_path_factory, values):
     assert load_dataset(base / "writer-new.csv").values.tobytes() == np.asarray(
         values, dtype=float
     ).tobytes()
+
+
+def test_writer_in_chunks_matches_reference(tmp_path, monkeypatch):
+    """Rows are written a chunk at a time; a chunk boundary changes no byte."""
+    monkeypatch.setattr(dataset, "_SAVE_ROWS", 3)
+    values = np.random.default_rng(5).standard_normal((10, 3)).tolist()
+    for rows in (1, 2, 3, 4, 6, 7, 10):
+        new = written_bytes(save_dataset, values[:rows], tmp_path / "new.csv")
+        assert new == written_bytes(ref_save_dataset, values[:rows], tmp_path / "ref.csv")

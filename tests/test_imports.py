@@ -21,9 +21,13 @@ No module imports scipy when it loads: ``scipy.stats`` alone takes about 0.8 s
 and 70 MB, so scipy is imported only inside the functions that need it.  No CLI
 command reaches one: the only ``scipy.stats`` import left is the quasi-Monte
 Carlo CDF of correlated normal leaf masses over three or more split axes.
+Nor is ``concurrent.futures`` loaded with the CLI: only the CSV loader and
+``fit``'s KS baseline run thread pools, and they import it when they run.
 """
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -279,3 +283,10 @@ def test_no_module_imports_scipy_when_it_loads(path):
 )
 def test_checker_flags_eager_scipy_imports(source, expected):
     assert eager_scipy_imports(source) == expected
+
+
+def test_importing_the_cli_loads_no_thread_pool():
+    """``concurrent.futures`` costs milliseconds to import; only CSV loads and fit's KS use it."""
+    code = "import sys, hellfit.cli; print('concurrent.futures' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout == "False\n"
