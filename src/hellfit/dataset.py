@@ -7,6 +7,7 @@ import os
 import sys
 from collections import deque
 from dataclasses import dataclass, field
+from itertools import chain, islice
 from pathlib import Path
 from typing import NamedTuple
 
@@ -89,11 +90,12 @@ def load_dataset(path, bounds=None) -> Dataset:
     ``_BLOCK_BYTES`` bytes, each cut at a line end, whose columns are joined
     once into a column-major array; it gives exactly the values ``float()``
     gives.  Every file is read from disk once, block by block, by the calling
-    thread alone, and never held whole, whether it is good or bad.  Each
-    block's cells are found and parsed on a pool of one thread per usable
-    CPU, at most that many blocks ahead of the one being taken; the blocks
-    are taken in file order, so the values and the first error are those
-    of a one-thread parse.  A block that is not plain (ASCII,
+    thread alone, and never held whole, whether it is good or bad.  The
+    cells of a file of one block are found and parsed where it is read;
+    once a second block arrives, each block's are on a pool of one thread
+    per usable CPU, at most that many blocks ahead of the one being taken.
+    The blocks are taken in file order, so the values and the first error
+    are those of a one-thread parse.  A block that is not plain (ASCII,
     no line break but ``\\n``) is decoded where it is read, with
     ``locale.getpreferredencoding(False)``, the encoding ``Path.read_text``
     uses, and split with ``splitlines``.
@@ -176,15 +178,17 @@ def _parse_blocks(blocks):
 
     Each block holds whole lines, each ending in ``\\n``; a blank line holds
     nothing but space, tab and ``\\x1f``.  The caller's thread is the only
-    one that reads ``blocks``.  Each block it reads is scanned on a pool of
-    one thread per usable CPU (``usable_cpus``), and at most that many
-    blocks are scanned ahead of the one taken, so no more than workers + 1
-    blocks are held at once.  The scans are taken in file order, and the
-    rest runs on the caller's thread: a block is parsed as it is, and only
-    if that fails, again without its blank lines, to raise the first
-    error.  ParseError is raised once every block is read: a later block
-    that does not decode raises its UnicodeDecodeError instead, as
-    ``Path.read_text`` would before any parse.
+    one that reads ``blocks``.  It scans a sole block itself; once a second
+    block arrives, every block is scanned on a pool of one thread per usable
+    CPU (``usable_cpus``), whose threads start with the first block handed
+    to it, and at most that many blocks are scanned ahead of the one taken,
+    so no more than workers + 1 blocks are held at once.  The scans are
+    taken in file order, and the rest runs on the caller's thread: a block
+    is parsed as it is, and only if that fails, again without its blank
+    lines, to raise the first error.  ParseError is raised once every block
+    is read: a later block that does not decode raises its
+    UnicodeDecodeError instead, as ``Path.read_text`` would before any
+    parse.
     """
     from concurrent.futures import ThreadPoolExecutor
 
@@ -224,9 +228,17 @@ def usable_cpus() -> int:
 
 
 def _scans_in_order(blocks, pool, ahead):
-    """``_scan`` of each block on ``pool``, in order, with at most ``ahead`` more in flight."""
+    """``_scan`` of each block, in order, with at most ``ahead`` more in flight.
+
+    A sole block is scanned where it is read, so a one-block file starts no
+    thread; once a second block arrives, every block is scanned on ``pool``.
+    """
+    head = list(islice(blocks, 2))
+    if len(head) < 2:
+        yield from map(_scan, head)
+        return
     pending = deque()
-    for block in blocks:
+    for block in chain(head, blocks):
         pending.append(pool.submit(_scan, block))
         if len(pending) > ahead:
             yield pending.popleft().result()
@@ -428,14 +440,38 @@ def ar_covariance(k: int, rho: float) -> np.ndarray:
     return rho ** np.abs(idx[:, None] - idx[None, :])
 
 
+_DRAW_ROWS = 1 << 12
+
+
 def sample_mvn(n: int, mean, cov, rng: RngStream) -> Dataset:
-    """Draw n i.i.d. multivariate normal rows via lower-triangular Cholesky."""
+    """Draw n i.i.d. multivariate normal rows via lower-triangular Cholesky.
+
+    The values are those of ``mean + z @ L.T`` for one ``(n, k)`` standard
+    normal draw ``z``, bit for bit.  ``z`` is drawn ``_DRAW_ROWS`` rows at a
+    time, the same stream as one draw, and each block is multiplied into its
+    slice of the column-major sample, so ``z`` is never held whole.  The rows
+    past the last whole block join it, so no block but a sole one is shorter
+    than ``_DRAW_ROWS``: a short product can take another BLAS kernel, whose
+    sums may differ in the last bit.  The blocks are small enough that
+    OpenBLAS multiplies them on the calling thread for k <= 11 (it wakes its
+    threads from about 2**19 multiply-adds): a woken BLAS thread spins for
+    about 0.1 s after the call, on a core the partition build that follows
+    would use.  The first block is drawn before the sample is allocated; the
+    other order made glibc map fresh pages for every later block.
+    """
     mean = np.atleast_1d(np.asarray(mean, dtype=float))
     cov = np.atleast_2d(np.asarray(cov, dtype=float))
     if n < 1:
         raise ValueError("n must be >= 1")
     lower = np.linalg.cholesky(cov)  # raises LinAlgError if not SPD
-    z = rng.generator().standard_normal((n, mean.size))
-    columns = lower @ z.T  # (k, n): the transpose is the column-major sample
+    generator, k = rng.generator(), mean.size
+    starts = range(0, max(n // _DRAW_ROWS, 1) * _DRAW_ROWS, _DRAW_ROWS)
+    ends = [*starts[1:], n]
+    z = generator.standard_normal((ends[0], k))
+    columns = np.empty((k, n))  # (k, n): the transpose is the column-major sample
+    for lo, hi in zip(starts, ends):
+        if lo:
+            z = generator.standard_normal((hi - lo, k))
+        np.matmul(lower, z.T, out=columns[:, lo:hi])
     columns += mean[:, None]
     return Dataset(columns.T)

@@ -22,18 +22,21 @@ partition is stored and split: ``build_moving_partition`` and
 ``pairwise_partitions`` share the per-level split ``_split_level``.
 
 The moving build runs level by level on a permutation of the row indices,
-reading each split axis from its column, a contiguous view.  Per region,
-``np.partition`` calls with one index each select the order statistic just
-below every cut, which is the break; the one at the cut is the least value
-above it.  Where a level follows, each row's child is found by value with
-``assign``'s rule, one comparison of the row with every break of its region,
-and the rows are regrouped by one stable sort of the small-integer child ids;
-after the last level no child is computed.  When the two order statistics
-at a cut are equal, building points tie across the break (an atom of the
-model sample) and the build raises ``DegeneratePartitionError``: splitting
-tied rows by position would give leaf counts that ``assign`` cannot
-reproduce.  Otherwise the children by value are exactly the children by
-position, so every leaf count equals a recount of the building sample.
+reading each split axis from its column, a contiguous view, one region's
+rows at a time.  Per region, ``np.partition`` calls with one index each
+select the order statistic just below every cut, which is the break; the one
+at the cut is the least value above it.  Where a level follows, each row's
+child is found by value with ``assign``'s rule, one comparison of the row
+with every break of its region, and the rows are regrouped by one stable
+sort of the child ids, in the smallest unsigned type that holds them; after
+the last level no child is computed.  When the two order statistics at a
+cut are equal, building points tie across the break (an atom of the model
+sample) and the build raises ``DegeneratePartitionError``: splitting tied
+rows by position would give leaf counts that ``assign`` cannot reproduce.
+Otherwise the children by value are exactly the children by position, so
+every leaf count equals a recount of the building sample.
+``pairwise_partitions`` splits each root on the calling thread and the
+second levels on a thread pool.
 """
 
 from __future__ import annotations
@@ -45,7 +48,7 @@ import numbers
 
 import numpy as np
 
-from hellfit.dataset import Dataset
+from hellfit.dataset import Dataset, usable_cpus
 
 
 class CapacityError(ValueError):
@@ -150,7 +153,7 @@ def build_moving_partition(model_sample: Dataset, spec: PartitionSpec) -> Partit
     axes = tuple(spec.axis_at(level) for level in range(spec.depth))
     if max(axes) >= model_sample.k:
         raise ValueError("axis_order references a missing coordinate")
-    rows, starts, breaks = np.arange(model_sample.n), np.array([0, model_sample.n]), []
+    rows, starts, breaks = None, np.array([0, model_sample.n]), []
     for level, axis in enumerate(axes):
         column = model_sample.values[:, axis]
         split, rows, starts = _split_level(column, rows, starts, axis, spec.branching, level)
@@ -163,18 +166,33 @@ def pairwise_partitions(model: Dataset, branching: int) -> dict:
     """One depth-2 partition per coordinate pair (i, j), i < j, splitting i then j.
 
     Each tree equals ``build_moving_partition`` with ``axis_order=(i, j)``;
-    axis i's root level is split once and shared by every pair (i, j).
+    axis i's root level is split once and shared by every pair (i, j).  The
+    roots are split on the calling thread and the second levels on a pool of
+    one thread per usable CPU (``usable_cpus``).  The calling thread splits
+    root i while root i - 1's pairs run, and takes those pairs before it
+    hands root i's to the pool, so the rows of at most two roots are alive
+    at once.  The pairs are taken in (i, j) order, and before root i's error
+    is raised, so the error raised is that of a one-thread scan.
     """
     if model.k < 2:
         raise ValueError("pairwise scan needs k >= 2")
-    trees, fans = {}, (branching, branching)
-    for i in range(model.k - 1):
-        rows, starts = np.arange(model.n), np.array([0, model.n])
-        root, rows, starts = _split_level(model.values[:, i], rows, starts, i, fans, 0)
-        for j in range(i + 1, model.k):
-            split, _, ends = _split_level(model.values[:, j], rows, starts, j, fans, 1)
-            counts = tuple(np.diff(ends).tolist())
-            trees[(i, j)] = PartitionTree(model.k, (i, j), model.bounds, (root, split), counts)
+    from concurrent.futures import ThreadPoolExecutor
+
+    fans, every_row, trees, pending = (branching, branching), np.array([0, model.n]), {}, {}
+
+    def pair(i, j, root, rows, starts):
+        split, _, ends = _split_level(model.values[:, j], rows, starts, j, fans, 1)
+        counts = tuple(np.diff(ends).tolist())
+        return PartitionTree(model.k, (i, j), model.bounds, (root, split), counts)
+
+    with ThreadPoolExecutor(usable_cpus()) as pool:
+        for i in range(model.k):
+            try:
+                if i + 1 < model.k:
+                    root = _split_level(model.values[:, i], None, every_row, i, fans, 0)
+            finally:  # root i - 1's pairs, in order, come before root i and its error
+                trees.update((key, future.result()) for key, future in pending.items())
+            pending = {(i, j): pool.submit(pair, i, j, *root) for j in range(i + 1, model.k)}
     return trees
 
 
@@ -184,16 +202,20 @@ def _split_level(column, rows, starts, axis, fans, level):
     ``column`` is the sample's ``axis`` column, a contiguous view of the
     caller's data: a gather from it is several times faster than one across
     the rows of a row-major matrix.  Region ``r`` owns
-    ``rows[starts[r]:starts[r + 1]]``, and level 0 is one region holding every
-    row in order; ``fans`` holds the fan-out of every level.  Returns
-    the level's ``(regions, fan - 1)`` breaks and the next level's rows and
-    starts.  Children are computed only where a level follows: child
-    ``r * fan + j`` holds region ``r``'s rows in ``(break j - 1, break j]``,
-    and a row's ``j`` is the number of breaks below its value, ``assign``'s
-    rule.  After the last level the rows are returned as they came.  Each
-    region is selected in a copy (at level 0 ``column`` itself is the caller's
-    data), except at a last level below the root, where ``column[rows]`` is a
-    gather that nothing reads afterwards.
+    ``rows[starts[r]:starts[r + 1]]``; at level 0 ``rows`` is None, for one
+    region holding every row in order.  ``fans`` holds the fan-out of every
+    level.  Returns the level's ``(regions, fan - 1)`` breaks and the next
+    level's rows and starts.  Children are computed only where a level
+    follows: child ``r * fan + j`` holds region ``r``'s rows in
+    ``(break j - 1, break j]``, and a row's ``j`` is the number of breaks
+    below its value, ``assign``'s rule.  After the last level the rows are
+    returned as they came.  Each region's values are gathered on their own,
+    ``column[rows[lo:hi]]``, so no n-row temporary is made below the root,
+    and selected in a copy, except at a last level below the root, where
+    nothing reads the gather afterwards.  The child ids take the smallest
+    unsigned type that holds them, so up to 256 children are regrouped by a
+    one-pass radix sort; at level 0 the stable sort of the ids is itself the
+    next level's rows.
     """
     fan, sizes = fans[level], np.diff(starts)
     if np.any(sizes < fan):
@@ -202,11 +224,13 @@ def _split_level(column, rows, starts, axis, fans, level):
             f"region {_path(r, fans[:level])}: {sizes[r]} building points cannot fill {fan} bins"
         )
     cuts = sizes[:, None] * np.arange(fan + 1) // fan  # child offsets per region
-    col, breaks = column[rows] if level else column, np.empty((len(sizes), fan - 1))
-    in_place = level and level + 1 == len(fans)
+    breaks, last = np.empty((len(sizes), fan - 1)), level + 1 == len(fans)
+    if not last:
+        child = np.empty(starts[-1], np.min_scalar_type(len(sizes) * fan - 1))
     for r, (lo, hi) in enumerate(zip(starts[:-1], starts[1:])):
+        region = column[lo:hi] if rows is None else column[rows[lo:hi]]
         below = cuts[r, 1:-1] - 1  # 0-indexed order statistics just below each cut
-        stats = _select(col[lo:hi] if in_place else col[lo:hi].copy(), below)
+        stats = _select(region if last and rows is not None else region.copy(), below)
         breaks[r] = stats[below] + 0.0  # a zero break is +0.0, whatever order its rows are in
         # the order statistic at a cut is the least value above the one just below it
         if np.any(stats[below] == np.minimum.reduceat(stats, below + 1)):
@@ -214,13 +238,14 @@ def _split_level(column, rows, starts, axis, fans, level):
                 f"region {_path(r, fans[:level])}: building points tie at a break on axis "
                 f"{axis}; a moving partition needs a continuous model sample"
             )
-    if level + 1 < len(fans):  # children, regrouped by a stable (radix for int16) sort
-        child = np.empty(len(rows), np.int16 if len(sizes) * fan <= 2**15 else np.intp)
-        for r, (lo, hi) in enumerate(zip(starts[:-1], starts[1:])):
+        del stats  # freed before the next allocation: glibc then reuses its pages, not fresh ones
+        if not last:
             child[lo:hi] = r * fan
             for b in breaks[r]:  # one pass per break: no (fan - 1) x n temporary
-                child[lo:hi] += b < col[lo:hi]
-        rows = rows[np.argsort(child, kind="stable")]
+                child[lo:hi] += b < region
+    if not last:  # children, regrouped by a stable sort of their ids
+        order = np.argsort(child, kind="stable")
+        rows = order if rows is None else rows[order]
     return breaks, rows, np.append(0, (starts[:-1, None] + cuts[:, 1:]).ravel())
 
 

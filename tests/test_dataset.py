@@ -120,10 +120,15 @@ class TestSampleMvn:
         assert np.linalg.norm(emp - cov, "fro") < 10 * k / np.sqrt(n)
 
     @pytest.mark.parametrize("k", range(1, 7))
-    @pytest.mark.parametrize("n", [1, 3, 10**4 + 7])
+    @pytest.mark.parametrize(
+        "n",
+        [1, 3, 2**12 - 1, 2**12, 2**12 + 1, 2**13 + 1, 10**4 + 7]
+        + [2**16 - 1, 2**16, 2**16 + 1, 2**17 + 1],
+    )
     @pytest.mark.parametrize("family", ["identity", "ar", "shifted"])
     def test_equals_the_row_major_formula(self, k, n, family):
-        # the sampler writes columns; its values are those of mean + z @ L.T, sign of zero included
+        # the sampler writes columns, 2**12 rows of z at a time; its values are those of
+        # mean + z @ L.T, sign of zero included, on both sides of a block edge
         mean, cov = {
             "identity": (np.zeros(k), np.eye(k)),
             "ar": (np.zeros(k), ar_covariance(k, 0.95)),

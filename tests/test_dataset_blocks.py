@@ -329,6 +329,17 @@ def test_at_most_workers_plus_one_blocks_in_flight(csv_path, tiny_blocks, monkey
     assert max(in_flight) <= workers + 1
 
 
+@pytest.mark.parametrize("blocks", [1, 2, 3])
+def test_threads_start_with_the_second_block(csv_path, tiny_blocks, monkeypatch, blocks):
+    csv_path.write_text("".join(one_block_a_row(blocks)))
+    expected = oracle.outcome(oracle.ref_load_dataset, csv_path)
+    started, start = [], threading.Thread.start
+    monkeypatch.setattr(threading.Thread, "start", lambda t: started.append(t) or start(t))
+    got = oracle.outcome(dataset.load_dataset, csv_path)
+    assert got == expected and got[0] == "ok"
+    assert bool(started) == (blocks > 1)
+
+
 @pytest.mark.parametrize(
     "data", [b"1,2\n3,4\n" * 8, b"1,2\n3,x\n" * 8, b"1,2\n" * 8 + b"\xff\n"],
     ids=["good", "parse-error", "decode-error"],

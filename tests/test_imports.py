@@ -21,8 +21,9 @@ No module imports scipy when it loads: ``scipy.stats`` alone takes about 0.8 s
 and 70 MB, so scipy is imported only inside the functions that need it.  No CLI
 command reaches one: the only ``scipy.stats`` import left is the quasi-Monte
 Carlo CDF of correlated normal leaf masses over three or more split axes.
-Nor is ``concurrent.futures`` loaded with the CLI: only the CSV loader and
-``fit``'s KS baseline run thread pools, and they import it when they run.
+Nor is ``concurrent.futures`` loaded with the CLI, the partitions or the
+Monte Carlo module: only the CSV loader, ``fit``'s KS baseline and the pairwise
+scan run thread pools, and they import it when they run.
 """
 
 import ast
@@ -285,8 +286,10 @@ def test_checker_flags_eager_scipy_imports(source, expected):
     assert eager_scipy_imports(source) == expected
 
 
-def test_importing_the_cli_loads_no_thread_pool():
-    """``concurrent.futures`` costs milliseconds to import; only CSV loads and fit's KS use it."""
-    code = "import sys, hellfit.cli; print('concurrent.futures' in sys.modules)"
+@pytest.mark.parametrize("module", ["hellfit.cli", "hellfit.partition", "hellfit.mc_validate"])
+def test_importing_loads_no_thread_pool(module):
+    """``concurrent.futures`` costs milliseconds to import; only CSV loads, fit's KS and the
+    pairwise scan use it."""
+    code = f"import sys, {module}; print('concurrent.futures' in sys.modules)"
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
     assert out.stdout == "False\n"

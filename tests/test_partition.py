@@ -1,9 +1,13 @@
 import json
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from hellfit import partition
 from hellfit.dataset import Dataset, RngStream
 from hellfit.partition import (
     CapacityError,
@@ -269,6 +273,112 @@ class TestProperties:
         except (CapacityError, DegeneratePartitionError):
             return
         assert count_into_bins(tree, sample).tolist() == list(tree.counts)
+
+
+# ------------------------------------------------------ the pairwise scan's pool
+
+
+def scan_outcome(model, branching):
+    """The pairwise trees as bytes in their order, or the type and message of the error raised."""
+    try:
+        trees = pairwise_partitions(model, branching)
+    except (CapacityError, DegeneratePartitionError) as exc:
+        return type(exc), str(exc)
+    return [
+        (key, tree.axes, tree.bounds, [b.tobytes() for b in tree.breaks], tree.counts)
+        for key, tree in trees.items()
+    ]
+
+
+def serial_outcome(model, branching):
+    """``scan_outcome`` of one independent build per pair, in (i, j) order."""
+    trees = []
+    for i, j in [(i, j) for i in range(model.k) for j in range(i + 1, model.k)]:
+        try:
+            tree = build_moving_partition(model, PartitionSpec(2, branching, (i, j)))
+        except (CapacityError, DegeneratePartitionError) as exc:
+            return type(exc), str(exc)
+        breaks = [b.tobytes() for b in tree.breaks]
+        trees.append(((i, j), tree.axes, tree.bounds, breaks, tree.counts))
+    return trees
+
+
+def defective(defect, k=4):
+    """A model sample with the named defect: atoms on the listed axes, or too few rows."""
+    values = RngStream(21).generator().standard_normal((15 if defect == "capacity" else 400, k))
+    if defect.startswith("atom"):
+        for axis in map(int, defect.split("-")[1:]):
+            values[:, axis] = np.round(values[:, axis])  # an atom at the root median
+    return Dataset(values)
+
+
+class TestPairwisePool:
+    """``pairwise_partitions`` splits the second levels on a thread pool."""
+
+    def test_one_worker_gives_the_same_trees(self, monkeypatch):
+        model = Dataset(RngStream(22).generator().standard_normal((3000, 5)))
+        pooled = scan_outcome(model, 4)
+        monkeypatch.setattr(partition, "usable_cpus", lambda: 1)
+        assert scan_outcome(model, 4) == pooled == serial_outcome(model, 4)
+
+    @pytest.mark.parametrize("defect", ["none", "atom-1", "atom-1-2", "atom-2", "capacity"])
+    def test_a_slow_first_pair_keeps_the_order_and_the_first_error(self, monkeypatch, defect):
+        split = partition._split_level
+
+        def slow_first_pair(column, rows, starts, axis, fans, level):
+            if level == 1 and axis == 1:  # pair (0, 1) alone splits axis 1 below a root
+                time.sleep(0.05)
+            return split(column, rows, starts, axis, fans, level)
+
+        monkeypatch.setattr(partition, "_split_level", slow_first_pair)
+        model = defective(defect)
+        got = scan_outcome(model, 4)
+        assert got == serial_outcome(model, 4)
+        assert isinstance(got, list) == (defect == "none")
+
+    @pytest.mark.parametrize("cpus", [1, 8])
+    def test_the_rows_of_at_most_two_roots_are_alive(self, monkeypatch, cpus):
+        """A root's rows live from its split until the last of its pairs is split.
+
+        The pairs are slowed, so that the calling thread would run ahead if it
+        could; eight workers and 10 us thread switches interleave them finely.
+        """
+        k, split, lock = 6, partition._split_level, threading.Lock()
+        roots, unsplit, alive = {}, {}, []  # roots: id of a root's rows -> (its axis, the rows)
+
+        def counted(column, rows, starts, axis, fans, level):
+            if level == 0:
+                with lock:
+                    unsplit[axis] = k - 1 - axis  # the pairs of this root still to split
+                    alive.append(sum(map(bool, unsplit.values())))
+            result = split(column, rows, starts, axis, fans, level)
+            if level == 0:
+                roots[id(result[1])] = axis, result[1]
+            else:
+                time.sleep(0.005)
+                with lock:
+                    unsplit[roots[id(rows)][0]] -= 1
+            return result
+
+        monkeypatch.setattr(partition, "_split_level", counted)
+        monkeypatch.setattr(partition, "usable_cpus", lambda: cpus)
+        model = Dataset(RngStream(23).generator().standard_normal((2000, k)))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            got = scan_outcome(model, 4)
+        finally:
+            sys.setswitchinterval(interval)
+        monkeypatch.undo()
+        assert got == serial_outcome(model, 4)
+        assert len(alive) == k - 1 and max(alive) <= 2 and not any(unsplit.values())
+
+    @pytest.mark.parametrize("defect", ["none", "capacity", "atom-1"])
+    def test_the_pool_leaves_no_thread_behind(self, defect):
+        before = threading.active_count()
+        got = scan_outcome(defective(defect), 4)
+        assert isinstance(got, list) == (defect == "none")
+        assert threading.active_count() == before
 
 
 def assign_2d(tree, values):

@@ -292,10 +292,18 @@ def test_zero_break_sign_independent_of_row_order():
 
 @pytest.mark.parametrize("fans", [(128, 256, 2), (129, 256, 2)])
 def test_child_ids_around_the_int16_limit(fans):
-    # level 1 has 2**15 children (int16 ids up to 32767), then 129 * 256 (intp ids)
+    # level 1 has 2**15 children (ids up to 32767), then 129 * 256
     values = RngStream(11).generator().standard_normal((math.prod(fans) + 500, 3))
     sample, spec = Dataset(values), PartitionSpec(depth=3, branching=list(fans))
     tree, ref = build_moving_partition(sample, spec), ref_build_moving(sample, spec)
     assert ref[4] is None  # no atom: the build must equal the reference
     assert leaf_rows(tree) == ref[1]
     assert count_into_bins(tree, sample).tolist() == list(tree.counts)
+
+
+@pytest.mark.parametrize("fans", [(16, 16, 2), (17, 16, 2)], ids=["256-children", "272-children"])
+def test_child_ids_around_the_uint8_limit(fans):
+    # level 1 has 256 children (uint8 ids up to 255), then 272 (uint16 ids)
+    sample = Dataset(RngStream(12).generator().standard_normal((math.prod(fans) + 500, 3)))
+    spec = PartitionSpec(depth=3, branching=list(fans))
+    assert_matches_reference(sample, spec, RngStream(13).generator())
