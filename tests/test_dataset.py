@@ -90,6 +90,20 @@ class TestArCovariance:
             ar_covariance(3, 1.0)
 
 
+_ROW_MAJOR_NS = [1, 3, 2**12 - 1, 2**12, 2**12 + 1, 2**13 + 1, 10**4 + 7] + [
+    2**16 - 1, 2**16, 2**16 + 1, 2**17 + 1
+]
+# every n above at k = 1..6, then the block edges of sample_mvn's per-k block rows
+ROW_MAJOR_CASES = [(n, k) for n in _ROW_MAJOR_NS for k in range(1, 7)]
+ROW_MAJOR_CASES += [
+    (n, k)
+    for k in (1, 2, 3, 6)
+    for rows in [max(2**12, 2**18 // k**2)]
+    for n in (rows - 1, rows, rows + 1, 2 * rows + 1)
+    if (n, k) not in ROW_MAJOR_CASES
+]
+
+
 class TestSampleMvn:
     def test_mean_within_clt_bound(self):
         n = 10**5
@@ -119,16 +133,12 @@ class TestSampleMvn:
         emp = np.cov(ds.values, rowvar=False)
         assert np.linalg.norm(emp - cov, "fro") < 10 * k / np.sqrt(n)
 
-    @pytest.mark.parametrize("k", range(1, 7))
-    @pytest.mark.parametrize(
-        "n",
-        [1, 3, 2**12 - 1, 2**12, 2**12 + 1, 2**13 + 1, 10**4 + 7]
-        + [2**16 - 1, 2**16, 2**16 + 1, 2**17 + 1],
-    )
+    @pytest.mark.parametrize("n, k", ROW_MAJOR_CASES)
     @pytest.mark.parametrize("family", ["identity", "ar", "shifted"])
     def test_equals_the_row_major_formula(self, k, n, family):
-        # the sampler writes columns, 2**12 rows of z at a time; its values are those of
-        # mean + z @ L.T, sign of zero included, on both sides of a block edge
+        # the sampler writes columns, max(2**12, 2**18 // k**2) rows of z at a time; its
+        # values are those of mean + z @ L.T, sign of zero included, on both sides of a
+        # block edge
         mean, cov = {
             "identity": (np.zeros(k), np.eye(k)),
             "ar": (np.zeros(k), ar_covariance(k, 0.95)),

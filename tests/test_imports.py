@@ -22,8 +22,8 @@ and 70 MB, so scipy is imported only inside the functions that need it.  No CLI
 command reaches one: the only ``scipy.stats`` import left is the quasi-Monte
 Carlo CDF of correlated normal leaf masses over three or more split axes.
 Nor is ``concurrent.futures`` loaded with the CLI, the partitions or the
-Monte Carlo module: only the CSV loader, ``fit``'s KS baseline and the pairwise
-scan run thread pools, and they import it when they run.
+Monte Carlo module: only the CSV loader, ``fit``'s KS baseline, the pairwise
+scan and the theorem-4 check run thread pools, and they import it when they run.
 """
 
 import ast
@@ -288,8 +288,8 @@ def test_checker_flags_eager_scipy_imports(source, expected):
 
 @pytest.mark.parametrize("module", ["hellfit.cli", "hellfit.partition", "hellfit.mc_validate"])
 def test_importing_loads_no_thread_pool(module):
-    """``concurrent.futures`` costs milliseconds to import; only CSV loads, fit's KS and the
-    pairwise scan use it."""
+    """``concurrent.futures`` costs milliseconds to import; only CSV loads, fit's KS, the
+    pairwise scan and the theorem-4 check use it."""
     code = f"import sys, {module}; print('concurrent.futures' in sys.modules)"
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
     assert out.stdout == "False\n"

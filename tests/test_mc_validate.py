@@ -1,14 +1,19 @@
 import math
 import re
+import sys
+import threading
+import time
+import weakref
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.stats import multivariate_normal, norm
 
-from hellfit.criterion import evaluate_fitness, pairwise_marginal_scan
+from hellfit import mc_validate
+from hellfit.criterion import bias_correction, evaluate_fitness, pairwise_marginal_scan
 from hellfit.dataset import Dataset, RngStream
-from hellfit.divergence import generator_by_name
+from hellfit.divergence import generator_by_name, hellinger
 from hellfit.mc_validate import (
     BiasBoundReport,
     MultivariateNormal,
@@ -21,10 +26,14 @@ from hellfit.mc_validate import (
     true_leaf_masses,
 )
 from hellfit.partition import (
+    CapacityError,
     PartitionSpec,
     PartitionTree,
     build_moving_partition,
+    count_into_bins,
+    free_param_count,
     leaf_edges,
+    model_pmf,
     pairwise_partitions,
 )
 
@@ -432,6 +441,153 @@ class TestBiasBound:
                 normal, normal, PartitionSpec(depth=1, branching=4),
                 n1=100, n2=1000, replicates=0,
             )
+
+
+def theorem_4_config(name):
+    """The CLI's theorem-4 pairs: (mother, model, spec)."""
+    if name == "identical-normals":
+        normal = MultivariateNormal([0.0], [[1.0]])
+        return normal, normal, PartitionSpec(depth=1, branching=4)
+    return (
+        MultivariateNormal.shifted(2, 0.1, 0.1),
+        MultivariateNormal(np.zeros(2), np.eye(2)),
+        PartitionSpec(depth=2, branching=4),
+    )
+
+
+def serial_bias_report(mother, model, spec, n1, n2, replicates, seed):
+    """``bias_bound_check`` as one loop on the calling thread, replicate after replicate."""
+    d_true, d_hat = np.empty(replicates), np.empty(replicates)
+    for rep in range(replicates):
+        tree = build_moving_partition(model.sample(n2, RngStream(seed, 2 * rep)), spec)
+        d_true[rep] = hellinger(true_leaf_masses(tree, mother), true_leaf_masses(tree, model))
+        counts = count_into_bins(tree, mother.sample(n1, RngStream(seed, 2 * rep + 1)))
+        d_hat[rep] = hellinger(counts / n1, model_pmf(tree))
+    se_true = np.std(d_true, ddof=1) / math.sqrt(replicates) if replicates > 1 else math.nan
+    se_hat = np.std(d_hat, ddof=1) / math.sqrt(replicates) if replicates > 1 else math.nan
+    correction = bias_correction(free_param_count(tree), n1, n2)[1]
+    slack = 3.0 * math.hypot(se_true, se_hat)
+    mean_true, mean_hat = float(np.mean(d_true)), float(np.mean(d_hat))
+    return BiasBoundReport(
+        mean_true=mean_true,
+        se_true=float(se_true),
+        mean_estimated=mean_hat,
+        se_estimated=float(se_hat),
+        correction=correction,
+        slack=slack,
+        holds=replicates > 1 and mean_true <= mean_hat + correction + slack,
+        replicates=replicates,
+        adequate=replicates > 1,
+    )
+
+
+def outcome(run):
+    """A run's report as text, or the type and message of the error it raised."""
+    try:
+        return repr(run())
+    except (CapacityError, np.linalg.LinAlgError) as exc:
+        return type(exc), str(exc)
+
+
+class TestBiasBoundDrawAhead:
+    """``bias_bound_check`` draws replicate r + 1's model sample while replicate r is built."""
+
+    @pytest.mark.parametrize("seed", [0, 5])
+    @pytest.mark.parametrize("replicates", [1, 2, 7])
+    @pytest.mark.parametrize("config", ["identical-normals", "shifted-normals"])
+    def test_reports_equal_the_serial_loop(self, config, replicates, seed):
+        mother, model, spec = theorem_4_config(config)
+        before = threading.active_count()
+        report = bias_bound_check(mother, model, spec, 10**3, 10**4, replicates, seed)
+        assert threading.active_count() == before
+        serial = serial_bias_report(mother, model, spec, 10**3, 10**4, replicates, seed)
+        assert repr(report) == repr(serial)
+
+    def test_a_build_error_while_the_next_draw_runs_is_the_serial_one(self, monkeypatch):
+        mother, model, spec = theorem_4_config("shifted-normals")
+        sample, drawing = model.sample, threading.Event()
+
+        def slow_later_draws(n, rng):
+            if rng.stream_id:
+                drawing.set()
+                time.sleep(0.05)
+            return sample(n, rng)
+
+        def build_once_the_next_draw_runs(model_sample, spec):
+            assert drawing.wait(timeout=10)
+            return build_moving_partition(model_sample, spec)
+
+        serial = outcome(lambda: serial_bias_report(mother, model, spec, 100, 10, 3, 0))
+        assert serial[0] is CapacityError
+        monkeypatch.setattr(model, "sample", slow_later_draws)
+        monkeypatch.setattr(mc_validate, "build_moving_partition", build_once_the_next_draw_runs)
+        before = threading.active_count()
+        assert outcome(lambda: bias_bound_check(mother, model, spec, 100, 10, 3, 0)) == serial
+        assert threading.active_count() == before
+
+    def test_a_covariance_not_positive_definite_raises_the_serial_error(self):
+        mother, model, spec = theorem_4_config("shifted-normals")
+        model = MultivariateNormal(np.zeros(2), [[1.0, 2.0], [2.0, 1.0]])  # eigenvalue -1
+        serial = outcome(lambda: serial_bias_report(mother, model, spec, 100, 1000, 3, 0))
+        assert serial[0] is np.linalg.LinAlgError
+        before = threading.active_count()
+        assert outcome(lambda: bias_bound_check(mother, model, spec, 100, 1000, 3, 0)) == serial
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("n1, n2, name", [(0, 1000, "n1"), (-1, 1000, "n1"), (100, 0, "n2")])
+    def test_sizes_below_one_are_rejected_before_any_draw(self, monkeypatch, n1, n2, name):
+        mother, model, spec = theorem_4_config("identical-normals")
+
+        def sample(*args):
+            raise AssertionError("sampled before the sizes were checked")
+
+        monkeypatch.setattr(MultivariateNormal, "sample", sample)
+        before = threading.active_count()
+        with pytest.raises(ValueError, match=f"^{name} must be >= 1$"):
+            bias_bound_check(mother, model, spec, n1, n2, replicates=3)
+        assert threading.active_count() == before
+
+    def test_at_most_one_sample_is_drawn_ahead(self, monkeypatch):
+        """Each draw starts once every earlier sample but one has its tree, and a
+        sample is dropped once its tree is built.
+
+        The builds are slowed, so that draws would run ahead if they could; 10 us
+        thread switches interleave the two threads finely.
+        """
+        mother, model, spec = theorem_4_config("shifted-normals")
+        sample, build, masses = model.sample, build_moving_partition, true_leaf_masses
+        drawn, built, ahead, alive = [], [], [], []  # alive: live samples at each mass call
+
+        def counted_sample(n, rng):
+            ahead.append(rng.stream_id // 2 - len(built))
+            result = sample(n, rng)
+            drawn.append((rng.stream_id, weakref.ref(result)))
+            return result
+
+        def slow_build(model_sample, spec):
+            time.sleep(0.005)
+            result = build(model_sample, spec)
+            built.append(model_sample.n)
+            return result
+
+        def counted_masses(tree, dist):
+            alive.append(sum(ref() is not None for _, ref in drawn[: len(built)]))
+            return masses(tree, dist)
+
+        monkeypatch.setattr(model, "sample", counted_sample)
+        monkeypatch.setattr(mc_validate, "build_moving_partition", slow_build)
+        monkeypatch.setattr(mc_validate, "true_leaf_masses", counted_masses)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            report = bias_bound_check(mother, model, spec, 10**3, 10**4, 8, 4)
+        finally:
+            sys.setswitchinterval(interval)
+        monkeypatch.undo()
+        assert repr(report) == repr(serial_bias_report(mother, model, spec, 10**3, 10**4, 8, 4))
+        assert [stream for stream, _ in drawn] == list(range(0, 16, 2))
+        assert max(ahead) <= 1 and len(built) == 8
+        assert alive == [0] * 16  # two mass calls a replicate; its own sample is gone
 
 
 class TestReproduceTable:
