@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+from functools import partial
 import io
 import json
 import math
@@ -18,7 +19,7 @@ import numpy as np
 
 from hellfit import bayes_threshold
 from hellfit.criterion import evaluate_fitness, ks_two_sample, pairwise_marginal_scan
-from hellfit.dataset import load_dataset, usable_cpus
+from hellfit.dataset import load_dataset, ordered, usable_cpus
 from hellfit.divergence import generator_by_name
 from hellfit.partition import (
     PartitionSpec,
@@ -158,17 +159,14 @@ def _write(args, text):
 
 
 def _run_fit(args):
-    from concurrent.futures import ThreadPoolExecutor
-
     mother = load_dataset(args.mother, bounds=args.bounds)
     model = load_dataset(args.model, bounds=args.bounds)
     spec = PartitionSpec(depth=args.depth, branching=args.branching)
-    report = evaluate_fitness(mother, model, spec, args.epsilon)
-    payload = report.to_dict()
-    # 1-d KS baseline, applied per coordinate for k > 1, the columns on a pool
-    with ThreadPoolExecutor(usable_cpus()) as pool:
-        tests = pool.map(ks_two_sample, mother.values.T, model.values.T)  # in column order
-        payload["ks_baseline"] = [dict(zip(("statistic", "p_value"), test)) for test in tests]
+    payload = evaluate_fitness(mother, model, spec, args.epsilon).to_dict()
+    # 1-d KS baseline, applied per coordinate for k > 1, in column order
+    calls = [partial(ks_two_sample, *pair) for pair in zip(mother.values.T, model.values.T)]
+    tests = ordered([calls], 1, usable_cpus())
+    payload["ks_baseline"] = [dict(zip(("statistic", "p_value"), test)) for test in tests]
     _emit(args, payload)
 
 

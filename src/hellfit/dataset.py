@@ -7,6 +7,7 @@ import os
 import sys
 from collections import deque
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import chain, islice
 from pathlib import Path
 from typing import NamedTuple
@@ -89,13 +90,10 @@ def load_dataset(path, bounds=None) -> Dataset:
     Numbers are read by one vectorized decimal parser over blocks of about
     ``_BLOCK_BYTES`` bytes, each cut at a line end, whose columns are joined
     once into a column-major array; it gives exactly the values ``float()``
-    gives.  Every file is read from disk once, block by block, by the calling
-    thread alone, and never held whole, whether it is good or bad.  The
-    cells of a file of one block are found and parsed where it is read;
-    once a second block arrives, each block's are on a pool of one thread
-    per usable CPU, at most that many blocks ahead of the one being taken.
-    The blocks are taken in file order, so the values and the first error
-    are those of a one-thread parse.  A block that is not plain (ASCII,
+    gives.  Every file is read from disk once, block by block, and never
+    held whole, whether it is good or bad; the blocks are scanned on threads
+    (``_scans``), but the values and the first error are those of a
+    one-thread parse.  A block that is not plain (ASCII,
     no line break but ``\\n``) is decoded where it is read, with
     ``locale.getpreferredencoding(False)``, the encoding ``Path.read_text``
     uses, and split with ``splitlines``.
@@ -177,26 +175,17 @@ def _parse_blocks(blocks):
     """The data rows of ``blocks`` as a column-major float matrix.
 
     Each block holds whole lines, each ending in ``\\n``; a blank line holds
-    nothing but space, tab and ``\\x1f``.  The caller's thread is the only
-    one that reads ``blocks``.  It scans a sole block itself; once a second
-    block arrives, every block is scanned on a pool of one thread per usable
-    CPU (``usable_cpus``), whose threads start with the first block handed
-    to it, and at most that many blocks are scanned ahead of the one taken,
-    so no more than workers + 1 blocks are held at once.  The scans are
-    taken in file order, and the rest runs on the caller's thread: a block
-    is parsed as it is, and only if that fails, again without its blank
-    lines, to raise the first error.  ParseError is raised once every block
-    is read: a later block that does not decode raises its
-    UnicodeDecodeError instead, as ``Path.read_text`` would before any
-    parse.
+    nothing but space, tab and ``\\x1f``.  ``_scans`` scans the blocks and
+    the rest runs here: a block is parsed as it is, and only if that fails,
+    again without its blank lines, to raise the first error.  ParseError is
+    raised once every block is read: a later block that does not decode
+    raises its UnicodeDecodeError instead, as ``Path.read_text`` would
+    before any parse.
     """
-    from concurrent.futures import ThreadPoolExecutor
-
     columns = []  # (k, rows) per block, so the transpose of their join is column-major
-    line, header = 1, True  # line: the number of the block's first line
-    workers = usable_cpus()
-    with ThreadPoolExecutor(workers) as pool:
-        for scan in _scans_in_order(blocks, pool, workers):
+    line, header, error = 1, True, None  # line: the number of the block's first line
+    for scan in _scans(blocks):
+        if error is None:  # after an error, the scans already under way are only let through
             try:
                 header = _block_rows(scan, header, columns, range(line, line + scan.lasts.size))
             except ParseError:  # perhaps only a blank line: parse again without them
@@ -208,12 +197,13 @@ def _parse_blocks(blocks):
                 numbers = line + np.flatnonzero(kept)
                 try:
                     header = _block_rows(_scan(buf), header, columns, numbers)
-                except ParseError:
-                    # read on: a later block that does not decode raises first
-                    for _ in blocks:
+                except ParseError as exc:
+                    error = exc  # raised once every block is read
+                    for _ in blocks:  # the rest of the file, read but not scanned
                         pass
-                    raise
             line += scan.lasts.size
+    if error is not None:
+        raise error
     if not columns:
         raise ParseError("empty input")
     joined = np.empty((columns[0].shape[0], sum(block.shape[1] for block in columns)))
@@ -227,23 +217,54 @@ def usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _scans_in_order(blocks, pool, ahead):
-    """``_scan`` of each block, in order, with at most ``ahead`` more in flight.
+def ordered(batches, ahead, workers):
+    """The results of the calls in ``batches``, in batch and call order, each call run on a pool.
 
-    A sole block is scanned where it is read, so a one-block file starts no
-    thread; once a second block arrives, every block is scanned on ``pool``.
+    ``batches`` yields lists of zero-argument calls.  It is read on the
+    calling thread, one batch at a time, while at most ``ahead`` earlier
+    batches are pending; once more are, the oldest is taken.  Every call
+    runs on one ``ThreadPoolExecutor(workers)``.  A call's error is raised
+    where its result would be yielded, and an error raised while making a
+    batch once every earlier result is yielded, so the values and the error
+    are those of a serial loop.  No result is kept once it is yielded, and
+    the pool is joined on every exit.
     """
-    head = list(islice(blocks, 2))
+    from concurrent.futures import ThreadPoolExecutor
+
+    pending, batches = deque(), iter(batches)  # pending: a deque of futures per batch
+
+    def take(keep):  # the results of the oldest batches, until ``keep`` are pending
+        while len(pending) > keep:
+            futures = pending.popleft()
+            while futures:
+                yield futures.popleft().result()
+
+    with ThreadPoolExecutor(workers) as pool:
+        while True:
+            try:
+                pending.append(deque(map(pool.submit, next(batches))))
+            except StopIteration:
+                break
+            except Exception:  # raised after every earlier result, and any earlier error
+                yield from take(0)
+                raise
+            yield from take(ahead)
+        yield from take(0)
+
+
+def _scans(blocks):
+    """``_scan`` of each block, in order: a sole block where it is read, more on a pool.
+
+    Once a second block arrives, every block is scanned through ``ordered``
+    on one thread per usable CPU, with as many blocks ahead.  The first two
+    blocks are let go as they are handed on.
+    """
+    head = deque(islice(blocks, 2))
     if len(head) < 2:
-        yield from map(_scan, head)
-        return
-    pending = deque()
-    for block in chain(head, blocks):
-        pending.append(pool.submit(_scan, block))
-        if len(pending) > ahead:
-            yield pending.popleft().result()
-    while pending:
-        yield pending.popleft().result()
+        return map(_scan, head)
+    workers = usable_cpus()
+    blocks = chain((head.popleft() for _ in range(2)), blocks)
+    return ordered(([partial(_scan, block)] for block in blocks), workers, workers)
 
 
 class _Scan(NamedTuple):
@@ -424,10 +445,11 @@ def save_dataset(dataset: Dataset, path) -> None:
 
     Rows are written ``_SAVE_ROWS`` at a time, so the text is never held whole.
     """
+    line = "%r," * (dataset.k - 1) + "%r\n"  # %r is repr
     with open(path, "w") as fh:
         for at in range(0, dataset.n, _SAVE_ROWS):
-            reprs = map(repr, dataset.values[at : at + _SAVE_ROWS].ravel().tolist())  # row after row
-            fh.write("\n".join(map(",".join, zip(*[reprs] * dataset.k))) + "\n")  # k cells a line
+            chunk = dataset.values[at : at + _SAVE_ROWS]
+            fh.write(line * len(chunk) % tuple(chunk.ravel().tolist()))  # row after row
 
 
 def ar_covariance(k: int, rho: float) -> np.ndarray:

@@ -7,20 +7,18 @@ from the partition's level arrays (``partition.leaf_edges``), with no per-leaf
 Python loop.  Normal leaf masses evaluate their CDFs in numpy (``math.erf`` and
 Genz's bivariate method), so no CLI command loads scipy; only correlated masses
 over three or more split axes import ``scipy.stats``.  Replicates each own an
-independent RngStream and are reduced in replicate-index order.  The theorem-4
-check draws each replicate's model sample on one worker thread while the
-previous replicate is built and scored, one sample ahead at most; its reports
-and errors are those of a serial loop (``bias_bound_check``).
+independent RngStream and are reduced in replicate-index order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 import math
 
 import numpy as np
 
-from hellfit.dataset import Dataset, RngStream, ar_covariance, sample_mvn
+from hellfit.dataset import Dataset, RngStream, ar_covariance, ordered, sample_mvn
 from hellfit.divergence import (
     DivergenceGenerator,
     alpha_generator,
@@ -324,48 +322,25 @@ def bias_bound_check(
 
     Per replicate the partition is rebuilt from a fresh model sample; the
     true-mass divergence uses exact leaf masses under both distributions.
-    Every model sample is drawn on one worker thread, replicate r + 1's while
-    the calling thread builds, masses, counts and scores replicate r: numpy
-    draws the normals outside the GIL.  On a 2-core Xeon a 1e5 x 2 replicate
-    took 8.6-8.8 ms serially, 4.6-4.8 ms of it the draw, and takes 5.1-5.6 ms
-    so, about 1.5 ms of it waiting for the draw.  At most one sample is drawn
-    ahead, each is dropped once its tree is built, and every value lands at
-    its replicate's index, so the report is that of a serial loop bit for bit.
-    The error raised is the one the serial loop would raise first: a draw's
-    error is raised where its replicate begins, and the worker is joined
-    before the function returns or raises.  The calling thread allocates no
-    model sample, so they all stay in the worker's malloc arena; drawing
-    replicate 0 on the calling thread left one in each arena and raised the
-    peak RSS of a 1e5 x 2 check by 3 MB more.
+    Each model sample is dropped once its tree is built.  All of them,
+    replicate 0's too, are drawn on ``ordered``'s one thread, so they stay in its
+    malloc arena; drawing replicate 0 on the calling thread left one in each
+    arena and raised the peak RSS of a 1e5 x 2 check by 3 MB more.
     """
     if replicates < 1:
         raise ValueError("replicates must be >= 1")
     for name, n in (("n1", n1), ("n2", n2)):
         if n < 1:
             raise ValueError(f"{name} must be >= 1")
-    from concurrent.futures import ThreadPoolExecutor
-
-    d_true = np.empty(replicates)
-    d_hat = np.empty(replicates)
-    p_prime = None
-    with ThreadPoolExecutor(1) as pool:
-        ahead = pool.submit(model.sample, n2, RngStream(seed, 0))
-        for rep in range(replicates):
-            model_sample = ahead.result()
-            ahead = (
-                pool.submit(model.sample, n2, RngStream(seed, 2 * rep + 2))
-                if rep + 1 < replicates
-                else None
-            )
-            tree = build_moving_partition(model_sample, spec)
-            del model_sample  # the draw ahead is now the only model sample alive
-            m1 = true_leaf_masses(tree, mother)
-            m2 = true_leaf_masses(tree, model)
-            d_true[rep] = hellinger(m1, m2)
-            mother_sample = mother.sample(n1, RngStream(seed, 2 * rep + 1))
-            counts = count_into_bins(tree, mother_sample)
-            d_hat[rep] = hellinger(counts / n1, model_pmf(tree))
-            p_prime = free_param_count(tree)
+    d_true, d_hat, p_prime = [], [], None
+    draws = ([partial(model.sample, n2, RngStream(seed, 2 * rep))] for rep in range(replicates))
+    for model_sample in ordered(draws, 1, 1):  # not enumerate: its reused tuple keeps the sample
+        tree = build_moving_partition(model_sample, spec)
+        del model_sample  # the draw ahead is now the only model sample alive
+        d_true.append(hellinger(true_leaf_masses(tree, mother), true_leaf_masses(tree, model)))
+        counts = count_into_bins(tree, mother.sample(n1, RngStream(seed, 2 * len(d_hat) + 1)))
+        d_hat.append(hellinger(counts / n1, model_pmf(tree)))
+        p_prime = free_param_count(tree)
     correction = bias_correction(p_prime, n1, n2)[1]
     adequate = replicates >= 2
     se_true, se_hat = _standard_error(d_true), _standard_error(d_hat)

@@ -35,20 +35,19 @@ sample) and the build raises ``DegeneratePartitionError``: splitting tied
 rows by position would give leaf counts that ``assign`` cannot reproduce.
 Otherwise the children by value are exactly the children by position, so
 every leaf count equals a recount of the building sample.
-``pairwise_partitions`` splits each root on the calling thread and the
-second levels on a thread pool.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 import json
 import math
 import numbers
 
 import numpy as np
 
-from hellfit.dataset import Dataset, usable_cpus
+from hellfit.dataset import Dataset, ordered, usable_cpus
 
 
 class CapacityError(ValueError):
@@ -166,34 +165,23 @@ def pairwise_partitions(model: Dataset, branching: int) -> dict:
     """One depth-2 partition per coordinate pair (i, j), i < j, splitting i then j.
 
     Each tree equals ``build_moving_partition`` with ``axis_order=(i, j)``;
-    axis i's root level is split once and shared by every pair (i, j).  The
-    roots are split on the calling thread and the second levels on a pool of
-    one thread per usable CPU (``usable_cpus``).  The calling thread splits
-    root i while root i - 1's pairs run, and takes those pairs before it
-    hands root i's to the pool, so the rows of at most two roots are alive
-    at once.  The pairs are taken in (i, j) order, and before root i's error
-    is raised, so the error raised is that of a one-thread scan.
+    axis i's root level is split once and shared by every pair (i, j).
     """
     if model.k < 2:
         raise ValueError("pairwise scan needs k >= 2")
-    from concurrent.futures import ThreadPoolExecutor
-
-    fans, every_row, trees, pending = (branching, branching), np.array([0, model.n]), {}, {}
+    fans, every_row = (branching, branching), np.array([0, model.n])
 
     def pair(i, j, root, rows, starts):
         split, _, ends = _split_level(model.values[:, j], rows, starts, j, fans, 1)
         counts = tuple(np.diff(ends).tolist())
-        return PartitionTree(model.k, (i, j), model.bounds, (root, split), counts)
+        return (i, j), PartitionTree(model.k, (i, j), model.bounds, (root, split), counts)
 
-    with ThreadPoolExecutor(usable_cpus()) as pool:
-        for i in range(model.k):
-            try:
-                if i + 1 < model.k:
-                    root = _split_level(model.values[:, i], None, every_row, i, fans, 0)
-            finally:  # root i - 1's pairs, in order, come before root i and its error
-                trees.update((key, future.result()) for key, future in pending.items())
-            pending = {(i, j): pool.submit(pair, i, j, *root) for j in range(i + 1, model.k)}
-    return trees
+    def roots():  # one batch of pairs per root, split on the calling thread
+        for i in range(model.k - 1):
+            root = _split_level(model.values[:, i], None, every_row, i, fans, 0)
+            yield [partial(pair, i, j, *root) for j in range(i + 1, model.k)]
+
+    return dict(ordered(roots(), 1, usable_cpus()))
 
 
 def _split_level(column, rows, starts, axis, fans, level):

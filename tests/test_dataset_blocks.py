@@ -6,6 +6,7 @@ import struct
 import sys
 import threading
 import time
+import weakref
 from decimal import Decimal
 
 import numpy as np
@@ -291,6 +292,16 @@ def test_a_later_block_that_does_not_decode_beats_a_bad_cell_out_of_order(
     assert got[1] is UnicodeDecodeError
 
 
+def test_blocks_after_a_bad_cell_are_read_but_not_scanned(csv_path, tiny_blocks, monkeypatch):
+    rows, scanned, scan = one_block_a_row(30), [], dataset._scan
+    rows[1] = "11,x\n"
+    monkeypatch.setattr(dataset, "_scan", lambda block: scanned.append(block) or scan(block))
+    csv_path.write_bytes("".join(rows).encode().replace(rows[-1].encode(), b"39,\xff\n"))
+    got = oracle.outcome(dataset.load_dataset, csv_path)
+    assert got == oracle.outcome(oracle.ref_load_dataset, csv_path) and got[1] is UnicodeDecodeError
+    assert len(scanned) <= 2 + dataset.usable_cpus() + 1  # to the bad block's reach, and its rescan
+
+
 @pytest.mark.parametrize("cpus", [1, None, 8], ids=["one-cpu", "all-cpus", "eight-cpus"])
 def test_at_most_workers_plus_one_blocks_in_flight(csv_path, tiny_blocks, monkeypatch, cpus):
     """Counting the block being taken, no more than workers + 1 are scanned or being scanned.
@@ -327,6 +338,33 @@ def test_at_most_workers_plus_one_blocks_in_flight(csv_path, tiny_blocks, monkey
     assert got == oracle.outcome(oracle.ref_load_dataset, csv_path) and got[0] == "ok"
     assert len(taken) == len(scanned) == 30
     assert max(in_flight) <= workers + 1
+
+
+class Block(bytearray):
+    """A block that a weak reference can follow."""
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 8])
+def test_at_most_workers_plus_one_blocks_alive(monkeypatch, cpus):
+    """Counting the block being taken, the first two blocks as well: each is let go once taken."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+    rows, refs, alive, block_rows = one_block_a_row(17), [], [], dataset._block_rows
+
+    def file_blocks(path):
+        for row in rows:
+            block = Block(row.encode())
+            refs.append(weakref.ref(block))
+            yield block
+
+    def counted_rows(*args):
+        alive.append(sum(ref() is not None for ref in refs))
+        return block_rows(*args)
+
+    monkeypatch.setattr(dataset, "_file_blocks", file_blocks)
+    monkeypatch.setattr(dataset, "_block_rows", counted_rows)
+    got = dataset.load_dataset("never-opened.csv")
+    assert got.values.tolist() == [[10.0 + i, i % 10] for i in range(17)]
+    assert len(alive) == 17 and max(alive) <= cpus + 1
 
 
 @pytest.mark.parametrize("blocks", [1, 2, 3])
