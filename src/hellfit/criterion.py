@@ -45,6 +45,7 @@ class FitnessReport:
     implied_epsilon: float
     implied_bayes_error: float
     zero_bins: int
+    close_reachable: bool  # bias_n1 + bias_n2 < threshold: else the sizes alone decide the verdict
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -107,6 +108,7 @@ def score_fitness(tree: PartitionTree, mother: Dataset, epsilon: float) -> Fitne
         implied_epsilon=eps_implied,
         implied_bayes_error=max(0.0, 0.5 - eps_implied),  # a rate: lhs > 2 gives eps > 1/2
         zero_bins=int(np.count_nonzero(counts == 0)),
+        close_reachable=bool(bias_n1 + bias_n2 < threshold),
     )
 
 

@@ -4,10 +4,9 @@ Built-in distributions expose a sampler and ``leaf_masses(tree)``, the exact
 probability of every leaf of a built partition, so the realized partitions can
 be scored against the truth.  Leaf masses are computed for all leaves at once
 from the partition's level arrays (``partition.leaf_edges``), with no per-leaf
-Python loop.  Normal leaf masses evaluate their CDFs in numpy (``math.erf`` and
-Genz's bivariate method), so no CLI command loads scipy; only correlated masses
-over three or more split axes import ``scipy.stats``.  Replicates each own an
-independent RngStream and are reduced in replicate-index order.
+Python loop.  Normal leaf masses are exact and numpy-only: ``math.erf``, and
+Genz's bivariate method for up to three correlated split axes.  Replicates each
+own an independent RngStream and are reduced in replicate-index order.
 """
 
 from __future__ import annotations
@@ -158,6 +157,18 @@ def _bvnu(h: np.ndarray, k: np.ndarray, r: float) -> np.ndarray:
     return upper
 
 
+def _rectangle(lo, hi, r: float) -> np.ndarray:
+    """P(lo < (X, Y) <= hi), elementwise, for standard normals X, Y of correlation r.
+
+    ``lo`` and ``hi`` stack the X and Y limits on their first axis; the result
+    is flat.  The mass is U(xl, yl) - U(xu, yl) - U(xl, yu) + U(xu, yu), U the
+    upper orthant ``_bvnu``.
+    """
+    (xl, yl), (xu, yu) = lo, hi
+    u = _bvnu(np.concatenate([xl, xu] * 2), np.concatenate([yl, yl, yu, yu]), r).reshape(4, -1)
+    return np.clip(u[0] - u[1] - u[2] + u[3], 0.0, 1.0)
+
+
 class MultivariateNormal:
     """N(mean, cov) with exact leaf masses.
 
@@ -165,11 +176,12 @@ class MultivariateNormal:
     uncorrelated: per level one vectorized normal CDF difference, multiplied
     down the levels.  Two correlated split axes take Genz's bivariate method
     (``_bvnu``) for all leaves at once, four upper orthants per rectangle.
-    Neither path loads scipy.  Three or more correlated split axes take
-    scipy's randomized quasi-Monte Carlo CDF (seed 0), summed by
-    inclusion-exclusion over each leaf's 2^d corners with one batched call
-    per corner pattern; only that branch imports ``scipy.stats`` (about
-    0.8 s and 70 MB).
+    Three correlated split axes condition on the first: a leaf's mass is the
+    integral over its first-axis interval of the normal density times the
+    rectangle probability of the other two given that value, by 32 panels of
+    the 20-point Gauss-Legendre rule, with the interval clipped to +-9
+    standard deviations.  Four or more correlated split axes raise
+    ``ValueError``.
     """
 
     def __init__(self, mean, cov):
@@ -202,23 +214,21 @@ class MultivariateNormal:
         if len(axes) == 1 or not np.any(sub_cov - np.diag(np.diag(sub_cov))):
             cdf = _normal_cdf(z)
             return np.prod(cdf[1] - cdf[0], axis=0)
+        c = sub_cov / np.outer(sd, sd)  # correlations
         if len(axes) == 2:
-            (xl, yl), (xu, yu) = z
-            r = sub_cov[0, 1] / (sd[0] * sd[1])
-            u = _bvnu(np.concatenate([xl, xu, xl, xu]), np.concatenate([yl, yl, yu, yu]), r)
-            u = u.reshape(4, -1)  # U(xl, yl), U(xu, yl), U(xl, yu), U(xu, yu): orthants above
-            return np.clip(u[0] - u[1] - u[2] + u[3], 0.0, 1.0)
-        from scipy.stats import multivariate_normal
-
-        dist = multivariate_normal(mean=sub_mean, cov=sub_cov, seed=0)
-        total = np.zeros(tree.leaf_count)
-        for mask in range(1 << len(axes)):  # inclusion-exclusion over the 2^d corners
-            bits = mask >> np.arange(len(axes)) & 1
-            corners = np.where(bits[:, None] == 1, lows, highs).T
-            rows = ~np.any(np.isneginf(corners), axis=1)  # a -inf corner has mass 0
-            if rows.any():
-                total[rows] += (-1.0) ** bits.sum() * dist.cdf(corners[rows])
-        return np.maximum(total, 0.0)
+            return _rectangle(*z, c[0, 1])
+        if len(axes) > 3:
+            raise ValueError(f"exact masses take at most 3 correlated split axes, not {axes}")
+        s = np.sqrt(1 - c[1:, 0] ** 2)  # given X0 = x, axes 1 and 2 have means c[1:, 0] x, sds s
+        t, w = (np.array(half) for half in _GAUSS_LEGENDRE[20])
+        frac = (np.arange(32)[:, None] + np.concatenate([1 - t, 1 + t]) / 2).ravel() / 32
+        lo, hi = np.clip(z[:, 0], -9.0, 9.0)
+        x = lo + (hi - lo) * frac[:, None]  # node x leaf
+        cond = (z[:, 1:, None] - c[1:, 0, None, None] * x) / s[:, None, None]
+        rect = _rectangle(*cond, (c[1, 2] - c[1, 0] * c[2, 0]) / (s[0] * s[1])).reshape(x.shape)
+        phi = np.exp(-x * x / 2) / math.sqrt(2 * math.pi)
+        # each panel's weights sum to 2, so the 32 panels' to 64
+        return (hi - lo) / 64 * (np.tile(np.concatenate([w, w]), 32) @ (phi * rect))
 
 
 def true_leaf_masses(tree: PartitionTree, dist) -> np.ndarray:

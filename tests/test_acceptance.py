@@ -295,6 +295,7 @@ def test_criterion_9_property_suites(capsys):
     report = evaluate_fitness(mother, model, PartitionSpec(depth=2, branching=4), 0.05)
     assert report.lhs == report.hellinger_hat + report.bias_n1 + report.bias_n2
     assert (report.verdict == "close") == (report.lhs < report.threshold)
+    assert report.close_reachable is (report.bias_n1 + report.bias_n2 < report.threshold)
     assert report.threshold == 8.0 * 0.05**2
     assert report.implied_epsilon == math.sqrt(report.lhs / 8.0)
     assert report.implied_bayes_error == 0.5 - report.implied_epsilon

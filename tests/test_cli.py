@@ -578,7 +578,7 @@ GOLDEN_OUTPUTS = {
     "fit": (
         ["fit", "--mother", "{mother}", "--model", "{model}", "--depth", "3",
          "--branching", "4", "--epsilon", "0.05"],
-        "d804f6781da29f739874ffcdc80d1a64a9dc3a5adb71d14765c30f6999601568",
+        "f2788aaf1726aeaa29d0e1df90ee7d70bf846c3f8e725105c69718620b4b8a7e",
     ),
     "partition": (
         ["partition", "--model", "{model}", "--depth", "3", "--branching", "4"],
@@ -595,7 +595,7 @@ GOLDEN_OUTPUTS = {
     ),
     "pairwise": (
         ["pairwise", "--mother", "{mother}", "--model", "{model}", "--epsilon", "0.05"],
-        "d4ecdd446d4115b255d9be53c0c43f24f4720cffdbab75da0f71fe607e482639",
+        "23d7c62b64f2724d2f94b22c84cb112f17ff65ed5fb59a6e270dd96a85c44f9c",
     ),
     "simulate-table-1": (
         ["simulate", "--table", "1", "--n1", "1000", "3000", "--n2", "20000"],
@@ -727,7 +727,8 @@ class TestConsoleScript:
         assert json.loads(proc.stdout.rsplit("\n", 2)[0])["generator"] == generator
         assert proc.stdout.splitlines()[-1] == "[]"
 
-    # theorem 4's exact leaf masses take numpy's normal CDFs: no command loads scipy
+    # Every command runs in an interpreter where importing scipy fails: the
+    # runtime depends on numpy alone, and no command loads a scipy module
     @pytest.mark.parametrize(
         "argv",
         [
@@ -749,7 +750,7 @@ class TestConsoleScript:
         argv = [arg.format(**golden_files) for arg in argv]
         proc = run_checkout_python(
             "-c",
-            "import sys; from hellfit import cli;"
+            BLOCK_SCIPY + "from hellfit import cli;"
             f" code = cli.run(['--output', {str(tmp_path / 'out.json')!r}, *{argv!r}]);"
             " print(code, sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))",
         )
@@ -758,10 +759,39 @@ class TestConsoleScript:
         assert code == "0"
         assert ast.literal_eval(modules) == []
 
+    def test_three_correlated_axes_run_with_scipy_blocked(self):
+        proc = run_checkout_python(
+            "-c",
+            BLOCK_SCIPY + "from hellfit.dataset import RngStream;"
+            " from hellfit.mc_validate import MultivariateNormal;"
+            " from hellfit.partition import PartitionSpec, build_moving_partition;"
+            " dist = MultivariateNormal.shifted(3, 0.1, 0.1);"
+            " tree = build_moving_partition(dist.sample(4000, RngStream(0)), PartitionSpec(3, 4));"
+            " print(dist.leaf_masses(tree).sum())",
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert float(proc.stdout) == pytest.approx(1.0, abs=1e-12)
+
+    def test_blocked_scipy_cannot_be_imported(self):
+        proc = run_checkout_python("-c", BLOCK_SCIPY + "import scipy")
+        assert proc.returncode == 1 and "ModuleNotFoundError: scipy is blocked" in proc.stderr
+
     def test_module_invocation(self):
         proc = run_checkout_python("-m", "hellfit.cli", "threshold", "--epsilon", "0.01")
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["delta_star"] == pytest.approx(8e-4)
+
+
+# Prefix of a ``python -c`` program: a meta path finder that makes every
+# import of scipy, or of a scipy submodule, raise
+BLOCK_SCIPY = (
+    "import sys\n"
+    "class BlockScipy:\n"
+    "    def find_spec(self, name, path=None, target=None):\n"
+    "        if name.split('.')[0] == 'scipy':\n"
+    "            raise ModuleNotFoundError(f'{name} is blocked', name=name)\n"
+    "sys.meta_path.insert(0, BlockScipy())\n"
+)
 
 
 def run_checkout_python(*args):

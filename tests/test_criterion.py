@@ -86,6 +86,7 @@ class TestEvaluateFitness:
         )
         assert report.lhs == report.hellinger_hat + report.bias_n1 + report.bias_n2
         assert (report.verdict == "close") == (report.lhs < report.threshold)
+        assert report.close_reachable is (report.bias_n1 + report.bias_n2 < report.threshold)
         assert report.implied_epsilon == pytest.approx(
             math.sqrt(report.lhs / 8), rel=1e-14
         )
@@ -103,7 +104,21 @@ class TestEvaluateFitness:
         )
         assert report.p_prime == 63
         assert report.hellinger_hat < 2e-3
-        assert report.verdict == "close"
+        assert report.verdict == "close" and report.close_reachable
+
+    def test_fit_csv_sizes_cannot_reach_close(self):
+        # p' = 63 at n2 = 3e5: bias_n2 = sqrt(8 * 63 / 3e5) = 0.041 is above the
+        # threshold 0.02, so even two samples of one distribution get not-shown-close
+        mother = sample_mvn(10**5, np.zeros(3), np.eye(3), RngStream(12, 0))
+        model = sample_mvn(3 * 10**5, np.zeros(3), np.eye(3), RngStream(12, 1))
+        report = evaluate_fitness(
+            mother, model, PartitionSpec(depth=3, branching=4), 0.05
+        )
+        assert report.p_prime == 63
+        assert report.bias_n2 == pytest.approx(0.041, abs=5e-4)
+        assert report.bias_n2 > report.threshold
+        assert report.close_reachable is False and report.verdict == "not-shown-close"
+        assert json.loads(report.to_json())["close_reachable"] is False
 
     def test_far_apart_not_shown_close(self):
         mother = sample_mvn(5000, [5.0], [[1.0]], RngStream(11, 0))
@@ -397,7 +412,7 @@ class TestFitnessReportShape:
         report = FitnessReport(
             hellinger_hat=0.0, p_prime=1, n1=1, n2=1, bias_n1=0.5, bias_n2=1.0,
             lhs=1.5, epsilon=0.1, threshold=0.08, verdict="not-shown-close",
-            implied_epsilon=0.433, implied_bayes_error=0.067, zero_bins=0,
+            implied_epsilon=0.433, implied_bayes_error=0.067, zero_bins=0, close_reachable=False,
         )
         with pytest.raises(AttributeError):
             report.lhs = 2.0

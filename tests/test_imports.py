@@ -17,10 +17,9 @@ exported in ``hellfit.__all__``: a name that only tests call is dead code.
 Numbers are parsed from text in ``dataset.py`` alone, by its block parser: no
 module calls numpy's text readers, whose conversions differ from ``float()``.
 
-No module imports scipy when it loads: ``scipy.stats`` alone takes about 0.8 s
-and 70 MB, so scipy is imported only inside the functions that need it.  No CLI
-command reaches one: the only ``scipy.stats`` import left is the quasi-Monte
-Carlo CDF of correlated normal leaf masses over three or more split axes.
+No module imports scipy, at load time or inside a function: the runtime
+depends on numpy alone, and scipy is a test dependency, the reference of the
+differential tests.
 Nor is ``concurrent.futures`` loaded with the CLI, the partitions or the
 Monte Carlo module: only the CSV loader, ``fit``'s KS baseline, the pairwise
 scan and the theorem-4 check run thread pools, and they import it when they run.
@@ -243,30 +242,24 @@ def test_checker_flags_text_reader_calls(source, expected):
     assert text_reader_calls(source) == expected
 
 
-def eager_scipy_imports(source: str) -> list[str]:
-    """Imports of scipy in ``source`` that run when it loads: those outside any function."""
+def scipy_imports(source: str) -> list[str]:
+    """Imports of scipy anywhere in ``source``, inside functions too, in ``ast.walk`` order."""
     found = []
-
-    def visit(node):
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
-                continue
-            if isinstance(child, ast.Import):
-                names = [alias.name for alias in child.names]
-            elif isinstance(child, ast.ImportFrom) and not child.level:
-                names = [child.module]
-            else:
-                names = []
-            found.extend(f"{name}:{child.lineno}" for name in names if name.split(".")[0] == "scipy")
-            visit(child)
-
-    visit(ast.parse(source))
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            names = [node.module]
+        else:
+            continue
+        found.extend(f"{name}:{node.lineno}" for name in names if name.split(".")[0] == "scipy")
     return found
 
 
+# every import counts, not only those that run when the module loads
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda path: path.name)
 def test_no_module_imports_scipy_when_it_loads(path):
-    assert eager_scipy_imports(path.read_text()) == []
+    assert scipy_imports(path.read_text()) == []
 
 
 @pytest.mark.parametrize(
@@ -277,13 +270,13 @@ def test_no_module_imports_scipy_when_it_loads(path):
         ("import scipy", ["scipy:1"]),
         ("try:\n    import scipy.stats\nexcept ImportError:\n    pass", ["scipy.stats:2"]),
         ("class C:\n    from scipy import special", ["scipy:2"]),
-        ("def f():\n    from scipy.stats import norm\n    return norm", []),
-        ("class C:\n    def g(self):\n        import scipy.stats", []),
+        ("def f():\n    from scipy.stats import norm\n    return norm", ["scipy.stats:2"]),
+        ("class C:\n    def g(self):\n        import scipy.stats", ["scipy.stats:3"]),
         ("import scipyx\nfrom .scipy import x\nfrom numpy import scipy", []),
     ],
 )
 def test_checker_flags_eager_scipy_imports(source, expected):
-    assert eager_scipy_imports(source) == expected
+    assert scipy_imports(source) == expected
 
 
 @pytest.mark.parametrize("module", ["hellfit.cli", "hellfit.partition", "hellfit.mc_validate"])

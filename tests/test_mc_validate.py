@@ -12,7 +12,7 @@ from scipy.stats import multivariate_normal, norm
 
 from hellfit import mc_validate
 from hellfit.criterion import bias_correction, evaluate_fitness, pairwise_marginal_scan
-from hellfit.dataset import Dataset, RngStream
+from hellfit.dataset import Dataset, RngStream, ar_covariance
 from hellfit.divergence import generator_by_name, hellinger
 from hellfit.mc_validate import (
     BiasBoundReport,
@@ -204,15 +204,101 @@ class TestLeafMassesDifferential:
         )
         assert_matches_reference(dist, tree, dist.leaf_masses(tree))
 
-    def test_correlated_3d_within_qmc_error(self):
-        # scipy integrates d >= 3 by randomized QMC; one batched call per
-        # corner draws a different stream than one call per box
-        dist = MultivariateNormal.shifted(3, 0.1, 0.1)
-        tree = build_moving_partition(
-            dist.sample(2000, RngStream(22)), PartitionSpec(depth=3, branching=[3, 2, 2])
+
+def last_axis_masses(dist, tree, panels=256):
+    """Three correlated split axes by the integral conditioned on the last axis,
+    not the first, on ``panels`` panels of numpy's 20-point Gauss-Legendre rule."""
+    axes = list(tree.axes)
+    cov = dist.cov[np.ix_(axes, axes)]
+    sd = np.sqrt(np.diag(cov))
+    c = cov / np.outer(sd, sd)
+    z = (np.array(leaf_edges(tree)) - dist.mean[axes][:, None]) / sd[:, None]
+    s = np.sqrt(1 - c[:2, 2] ** 2)  # given X2 = x, axes 0 and 1 have means c[:2, 2] x
+    r = (c[0, 1] - c[0, 2] * c[1, 2]) / (s[0] * s[1])
+    t, w = np.polynomial.legendre.leggauss(20)
+    lo, hi = np.clip(z[:, 2], -9.0, 9.0)
+    total = np.zeros(tree.leaf_count)
+    for panel in range(panels):
+        x = lo + (hi - lo) * (panel + (1 + t[:, None]) / 2) / panels
+        cond = (z[:, :2, None] - c[:2, 2, None, None] * x) / s[:, None, None]
+        density = np.exp(-x * x / 2) / math.sqrt(2 * math.pi)
+        rect = mc_validate._rectangle(*cond, r).reshape(x.shape)
+        total += (hi - lo) / (2 * panels) * (w @ (density * rect))
+    return total
+
+
+class TestTrivariateMasses:
+    """Three correlated split axes: the integral over the first axis against the
+    one over the last, against scipy's CDF, and as a distribution."""
+
+    DISTRIBUTIONS = {
+        "shifted-0.1": MultivariateNormal.shifted(3, 0.1, 0.1),
+        "shifted-1": MultivariateNormal.shifted(3, 1.0, 1.0),
+        "ar-0.9": MultivariateNormal([0.0, 0.5, -0.5], ar_covariance(3, 0.9)),
+        "ar-0.99": MultivariateNormal(np.zeros(3), ar_covariance(3, 0.99)),
+        "ar-0.999": MultivariateNormal(np.zeros(3), ar_covariance(3, 0.999)),
+        "ar-negative": MultivariateNormal(
+            [0.3, 0.0, 0.0], np.outer([1.0, 2.0, 0.5], [1.0, 2.0, 0.5]) * ar_covariance(3, -0.8)
+        ),
+    }
+
+    @pytest.mark.parametrize("name", sorted(DISTRIBUTIONS))
+    def test_matches_last_axis_integral(self, name):
+        dist = self.DISTRIBUTIONS[name]
+        trees = [
+            build_moving_partition(
+                dist.sample(2000, RngStream(22)), PartitionSpec(depth=3, branching=[3, 2, 2])
+            ),
+            build_moving_partition(
+                dist.sample(2000, RngStream(23)),
+                PartitionSpec(depth=3, branching=2, axis_order=(2, 0, 1)),
+            ),
+            grid_tree([[-0.4, 1.1], [0.2], [-1.5, 0.0, 0.7]]),
+        ]
+        for tree in trees:
+            got = dist.leaf_masses(tree)
+            np.testing.assert_allclose(got, last_axis_masses(dist, tree), rtol=0, atol=1e-15)
+            assert np.all(got >= 0) and abs(got.sum() - 1.0) <= 1e-12
+
+    # Orthant probabilities P(X <= q) of shifted(3, 0.1, 0.1).  scipy integrates
+    # three dimensions by randomized quasi-Monte Carlo, here at its tightest
+    # settings.  Over seeds 0-9 its value at these corners spread over at most
+    # SCIPY_SPREAD (max - min), and the seeds' mean lay within 2.2e-9 of a
+    # 30-digit mpmath integral, so an exact value is within two spreads of any
+    # one seed.
+    CORNERS = [(-0.7, 0.2, 0.9), (0.5, -1.2, 1.8), (1.1, 0.4, -0.3)]
+    SCIPY_SPREAD = 4e-9
+
+    def test_matches_scipy_corners(self):
+        dist = self.DISTRIBUTIONS["shifted-0.1"]
+        joint = multivariate_normal(
+            dist.mean, dist.cov, seed=0, abseps=1e-12, releps=1e-12, maxpts=10**7
         )
-        got = dist.leaf_masses(tree)
-        assert np.max(np.abs(got - reference_leaf_masses(tree, dist))) < 1e-4
+        for corner in self.CORNERS:
+            got = dist.leaf_masses(grid_tree([[q] for q in corner]))[0]  # (-inf, q]
+            assert abs(got - joint.cdf(corner)) <= 2 * self.SCIPY_SPREAD
+
+    @given(
+        factor=st.lists(st.floats(-3.0, 3.0), min_size=3, max_size=3),
+        scales=st.lists(st.floats(0.1, 3.0), min_size=3, max_size=3),
+        grid=st.lists(
+            st.lists(st.floats(-8.0, 8.0), max_size=3).map(sorted), min_size=3, max_size=3
+        ),
+    )
+    @settings(max_examples=50, deadline=None)
+    def test_masses_are_a_distribution(self, factor, scales, grid):
+        lower = np.diag(scales)
+        lower[np.tril_indices(3, -1)] = factor
+        masses = MultivariateNormal(np.zeros(3), lower @ lower.T).leaf_masses(grid_tree(grid))
+        assert np.all(masses >= 0)
+        assert abs(masses.sum() - 1.0) <= 1e-12
+
+    def test_four_correlated_axes_raise_naming_them(self):
+        dist = MultivariateNormal.shifted(4, 0.1, 0.1)
+        with pytest.raises(ValueError, match=re.escape("[0, 1, 2, 3]")):
+            dist.leaf_masses(grid_tree([[0.0]] * 4))
+        factorized = MultivariateNormal(np.zeros(4), np.eye(4))
+        assert factorized.leaf_masses(grid_tree([[0.0]] * 4)) == pytest.approx([1 / 16] * 16)
 
 
 class TestBivariateMasses:
@@ -300,15 +386,18 @@ class TestMovingRisk:
         assert abs(est.mean - est.prediction) < 3 * est.standard_error + 0.1 * est.prediction
         assert 0.9 < est.ratio < 1.1
 
-    def test_normal_2d(self):
-        est = one_sample_risk_moving(
-            MultivariateNormal(np.zeros(2), np.eye(2)),
-            PartitionSpec(depth=2, branching=4),
-            n=10**4,
-            replicates=120,
-            seed=1,
-        )
-        assert est.prediction == pytest.approx(15 / (2 * 10**4), rel=1e-12)
+    # the paper's correlated family is scored with the exact three-axis masses
+    @pytest.mark.parametrize(
+        "dist, spec, p_prime",
+        [
+            (MultivariateNormal(np.zeros(2), np.eye(2)), PartitionSpec(depth=2, branching=4), 15),
+            (MultivariateNormal.shifted(3, 0.1, 0.1), PartitionSpec(depth=3, branching=2), 7),
+        ],
+        ids=["independent-2d", "shifted-3d"],
+    )
+    def test_normal(self, dist, spec, p_prime):
+        est = one_sample_risk_moving(dist, spec, n=10**4, replicates=120, seed=1)
+        assert est.prediction == pytest.approx(p_prime / (2 * 10**4), rel=1e-12)
         assert 0.85 < est.ratio < 1.15
 
     def test_rate_is_inverse_n(self):
