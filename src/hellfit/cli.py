@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-from functools import partial
 import io
 import json
 import math
@@ -18,8 +17,8 @@ import sys
 import numpy as np
 
 from hellfit import bayes_threshold
-from hellfit.criterion import evaluate_fitness, ks_two_sample, pairwise_marginal_scan
-from hellfit.dataset import load_dataset, ordered, usable_cpus
+from hellfit.criterion import fit_payload, pairwise_marginal_scan
+from hellfit.dataset import load_dataset
 from hellfit.divergence import generator_by_name
 from hellfit.partition import (
     PartitionSpec,
@@ -162,12 +161,7 @@ def _run_fit(args):
     mother = load_dataset(args.mother, bounds=args.bounds)
     model = load_dataset(args.model, bounds=args.bounds)
     spec = PartitionSpec(depth=args.depth, branching=args.branching)
-    payload = evaluate_fitness(mother, model, spec, args.epsilon).to_dict()
-    # 1-d KS baseline, applied per coordinate for k > 1, in column order
-    calls = [partial(ks_two_sample, *pair) for pair in zip(mother.values.T, model.values.T)]
-    tests = ordered([calls], 1, usable_cpus())
-    payload["ks_baseline"] = [dict(zip(("statistic", "p_value"), test)) for test in tests]
-    _emit(args, payload)
+    _emit(args, fit_payload(mother, model, spec, args.epsilon))
 
 
 def _run_threshold(args):

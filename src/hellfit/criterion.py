@@ -6,19 +6,20 @@ only counted into its bins, so one built partition scores any number of
 mother samples (``score_fitness``).  The pairwise marginal scan scores the
 depth-2 partition of every coordinate pair the same way.  The conclusion
 is one-sided: the verdict is "close" when the inequality holds and
-"not-shown-close" otherwise.
+"not-shown-close" otherwise.  ``fit_payload`` is the whole report that
+``hellfit fit`` prints: the criterion and a per-coordinate KS baseline.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, asdict
-import json
+from functools import partial
 import math
 
 import numpy as np
 
 from hellfit.bayes_threshold import delta_star_hellinger
-from hellfit.dataset import Dataset
+from hellfit.dataset import Dataset, ordered, usable_cpus
 from hellfit.divergence import hellinger
 from hellfit.partition import (
     PartitionSpec,
@@ -50,9 +51,6 @@ class FitnessReport:
     def to_dict(self) -> dict:
         return asdict(self)
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2)
-
 
 def bias_correction(p_prime: int, n1: int, n2: int) -> tuple[float, float]:
     """(p'/(2 n1), sqrt(8 p'/n2))."""
@@ -76,6 +74,22 @@ def evaluate_fitness(
     if mother.k != model.k:
         raise ValueError(f"dimension mismatch: mother k={mother.k}, model k={model.k}")
     return score_fitness(build_moving_partition(model, spec), mother, epsilon)
+
+
+def fit_payload(mother: Dataset, model: Dataset, spec: PartitionSpec, epsilon: float) -> dict:
+    """The ``evaluate_fitness`` report as a dict, then ``ks_baseline``: exactly what
+    ``hellfit fit`` prints.
+
+    ``ks_baseline`` is ``ks_two_sample`` on each coordinate, in column order.
+    The columns run as one batch of ``dataset.ordered`` on one thread per
+    usable CPU, so the values and any error are those of a serial loop; a
+    mother/model dimension mismatch raises before any build or KS test.
+    """
+    payload = evaluate_fitness(mother, model, spec, epsilon).to_dict()
+    calls = [partial(ks_two_sample, *pair) for pair in zip(mother.values.T, model.values.T)]
+    tests = ordered([calls], 1, usable_cpus())
+    payload["ks_baseline"] = [dict(zip(("statistic", "p_value"), test)) for test in tests]
+    return payload
 
 
 def score_fitness(tree: PartitionTree, mother: Dataset, epsilon: float) -> FitnessReport:

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from hellfit.cli import run
-from hellfit.criterion import evaluate_fitness, ks_two_sample
+from hellfit.criterion import fit_payload, ks_two_sample
 from hellfit.dataset import Dataset, RngStream, save_dataset
 from hellfit.partition import PartitionSpec
 
@@ -179,14 +179,7 @@ class TestFitIngest:
              "--depth", "2", "--branching", "4", "--epsilon", "0.05"],
         )
         assert code == 0
-        expected = evaluate_fitness(
-            mother, model, PartitionSpec(depth=2, branching=4), 0.05
-        ).to_dict()
-        expected["ks_baseline"] = [
-            dict(zip(("statistic", "p_value"),
-                     ks_two_sample(mother.values[:, i], model.values[:, i])))
-            for i in range(2)
-        ]
+        expected = fit_payload(mother, model, PartitionSpec(depth=2, branching=4), 0.05)
         assert out == json.dumps(expected, indent=2) + "\n"
 
     def test_header_only_file_exit_1(self, capsys, tmp_path, sample_files):
@@ -200,6 +193,24 @@ class TestFitIngest:
         )
         assert code == 1 and out == ""
         assert f"{header_only}: empty input" in err
+
+
+class TestFitPayload:
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_cli_prints_exactly_the_library_dict(self, capsys, tmp_path, k):
+        rng = RngStream(11, k).generator()
+        mother = Dataset(rng.standard_normal((700, k)) + 0.1)
+        model = Dataset(rng.standard_normal((5000, k)))
+        save_dataset(mother, tmp_path / "mother.csv")
+        save_dataset(model, tmp_path / "model.csv")
+        code, out, _ = run_cli(
+            capsys,
+            ["fit", "--mother", str(tmp_path / "mother.csv"), "--model", str(tmp_path / "model.csv"),
+             "--depth", str(k), "--branching", "3", "--epsilon", "0.05"],
+        )
+        assert code == 0
+        expected = fit_payload(mother, model, PartitionSpec(depth=k, branching=3), 0.05)
+        assert out == json.dumps(expected, indent=2) + "\n"
 
 
 class TestUnsupportedFormat:
@@ -742,9 +753,11 @@ class TestConsoleScript:
              "--n2", "1000", "--replicates", "2"],
             ["validate", "--theorem", "4", "--config", "shifted-normals", "--n1", "100",
              "--n2", "1000", "--replicates", "2"],
+            ["pairwise", "--mother", "{mother}", "--model", "{model}", "--epsilon", "0.05"],
+            ["partition", "--model", "{model}", "--depth", "3", "--branching", "4"],
         ],
         ids=["fit", "simulate-1", "simulate-5", "validate-2", "validate-3",
-             "validate-4", "validate-4-shifted"],
+             "validate-4", "validate-4-shifted", "pairwise", "partition"],
     )
     def test_which_commands_load_scipy(self, argv, golden_files, tmp_path):
         argv = [arg.format(**golden_files) for arg in argv]

@@ -12,6 +12,7 @@ from hellfit.criterion import (
     FitnessReport,
     bias_correction,
     evaluate_fitness,
+    fit_payload,
     implied_epsilon,
     ks_two_sample,
     score_fitness,
@@ -118,7 +119,7 @@ class TestEvaluateFitness:
         assert report.bias_n2 == pytest.approx(0.041, abs=5e-4)
         assert report.bias_n2 > report.threshold
         assert report.close_reachable is False and report.verdict == "not-shown-close"
-        assert json.loads(report.to_json())["close_reachable"] is False
+        assert report.to_dict()["close_reachable"] is False
 
     def test_far_apart_not_shown_close(self):
         mother = sample_mvn(5000, [5.0], [[1.0]], RngStream(11, 0))
@@ -171,9 +172,26 @@ class TestEvaluateFitness:
         report = evaluate_fitness(
             Dataset(values), Dataset(values), PartitionSpec(depth=1, branching=4), 0.3
         )
-        payload = json.loads(report.to_json())
+        payload = json.loads(json.dumps(report.to_dict()))
         assert payload == report.to_dict()
         assert payload["verdict"] == "close"
+
+
+class TestFitPayload:
+    def test_dimension_mismatch_raises_before_any_build_or_ks(self, monkeypatch):
+        def never(*args):
+            raise AssertionError("called after a dimension mismatch")
+
+        monkeypatch.setattr(criterion, "build_moving_partition", never)
+        monkeypatch.setattr(criterion, "ks_two_sample", never)
+        rng = RngStream(8).generator()
+        with pytest.raises(ValueError, match="dimension mismatch: mother k=2, model k=3"):
+            fit_payload(
+                Dataset(rng.standard_normal((100, 2))),
+                Dataset(rng.standard_normal((400, 3))),
+                PartitionSpec(depth=1, branching=2),
+                0.05,
+            )
 
 
 class TestScoreFitness:
