@@ -24,7 +24,7 @@ from hellfit.partition import (
     PartitionSpec,
     build_moving_partition,
     pairwise_partitions,
-    tree_to_json,
+    tree_to_dict,
 )
 
 
@@ -128,28 +128,26 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit(args, payload, rows=None):
-    """Write the payload in the requested format; csv writes the tabular rows.
+def _emit(args, payload):
+    """Write the payload in the requested format, to ``--output`` or stdout.
 
     Non-finite floats in the payload are written as null (None), so the json
-    output is strict JSON.
+    output is strict JSON.  csv writes the tabular ``payload["rows"]``, a
+    list cell as its JSON text.
     """
     payload = json.loads(json.dumps(payload), parse_constant=lambda _: None)
     if args.format == "csv":
         buf = io.StringIO()
-        writer = csv.DictWriter(buf, fieldnames=list(rows[0].keys()))
+        rows = payload["rows"]
+        writer = csv.DictWriter(buf, fieldnames=list(rows[0]))
         writer.writeheader()
         for row in rows:
-            writer.writerow(row)
+            writer.writerow({k: json.dumps(v) if isinstance(v, list) else v for k, v in row.items()})
         text = buf.getvalue()
     elif args.format == "pretty":
         text = "\n".join(f"{key}: {value}" for key, value in payload.items()) + "\n"
     else:
         text = json.dumps(payload, indent=2, allow_nan=False) + "\n"
-    _write(args, text)
-
-
-def _write(args, text):
     if args.output:
         with open(args.output, "w") as fh:
             fh.write(text)
@@ -184,11 +182,7 @@ def _run_simulate(args):
         k=args.k,
         branching=args.branching,
     )
-    flat = [
-        {k: (json.dumps(v) if isinstance(v, list) else v) for k, v in row.items()}
-        for row in rows
-    ]
-    _emit(args, {"table": args.table, "rows": rows}, rows=flat)
+    _emit(args, {"table": args.table, "rows": rows})
 
 
 def _run_validate(args):
@@ -235,8 +229,7 @@ def _run_validate(args):
 def _run_partition(args):
     model = load_dataset(args.model, bounds=args.bounds)
     spec = PartitionSpec(depth=args.depth, branching=args.branching)
-    tree = build_moving_partition(model, spec)
-    _write(args, tree_to_json(tree) + "\n")
+    _emit(args, tree_to_dict(build_moving_partition(model, spec)))
 
 
 def _run_pairwise(args):

@@ -8,7 +8,6 @@ import sys
 from collections import deque
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import chain, islice
 from pathlib import Path
 from typing import NamedTuple
 
@@ -91,9 +90,9 @@ def load_dataset(path, bounds=None) -> Dataset:
     ``_BLOCK_BYTES`` bytes, each cut at a line end, whose columns are joined
     once into a column-major array; it gives exactly the values ``float()``
     gives.  Every file is read from disk once, block by block, and never
-    held whole, whether it is good or bad; the blocks are scanned on threads
-    (``_scans``), but the values and the first error are those of a
-    one-thread parse.  A block that is not plain (ASCII,
+    held whole, whether it is good or bad; the blocks, a sole one too, are
+    scanned on a pool (``_scans``), but the values and the first error are
+    those of a one-thread parse.  A block that is not plain (ASCII,
     no line break but ``\\n``) is decoded where it is read, with
     ``locale.getpreferredencoding(False)``, the encoding ``Path.read_text``
     uses, and split with ``splitlines``.
@@ -175,12 +174,12 @@ def _parse_blocks(blocks):
     """The data rows of ``blocks`` as a column-major float matrix.
 
     Each block holds whole lines, each ending in ``\\n``; a blank line holds
-    nothing but space, tab and ``\\x1f``.  ``_scans`` scans the blocks and
-    the rest runs here: a block is parsed as it is, and only if that fails,
-    again without its blank lines, to raise the first error.  ParseError is
-    raised once every block is read: a later block that does not decode
-    raises its UnicodeDecodeError instead, as ``Path.read_text`` would
-    before any parse.
+    nothing but space, tab and ``\\x1f``.  ``_scans`` scans the blocks on a
+    pool and the rest runs here, in file order: a block is parsed as it is,
+    and only if that fails, again without its blank lines, to raise the
+    first error.  ParseError is raised once every block is read: a later
+    block that does not decode raises its UnicodeDecodeError instead, as
+    ``Path.read_text`` would before any parse.
     """
     columns = []  # (k, rows) per block, so the transpose of their join is column-major
     line, header, error = 1, True, None  # line: the number of the block's first line
@@ -253,18 +252,10 @@ def ordered(batches, ahead, workers):
 
 
 def _scans(blocks):
-    """``_scan`` of each block, in order: a sole block where it is read, more on a pool.
-
-    Once a second block arrives, every block is scanned through ``ordered``
-    on one thread per usable CPU, with as many blocks ahead.  The first two
-    blocks are let go as they are handed on.
-    """
-    head = deque(islice(blocks, 2))
-    if len(head) < 2:
-        return map(_scan, head)
-    workers = usable_cpus()
-    blocks = chain((head.popleft() for _ in range(2)), blocks)
-    return ordered(([partial(_scan, block)] for block in blocks), workers, workers)
+    """``_scan`` of each block, in order, through ``ordered`` on one thread
+    per usable CPU, with as many blocks ahead."""
+    cpus = usable_cpus()
+    return ordered(([partial(_scan, block)] for block in blocks), cpus, cpus)
 
 
 class _Scan(NamedTuple):

@@ -64,12 +64,14 @@ _ERFC = np.frompyfunc(math.erfc, 1, 1)
 
 def _normal_cdf(x: np.ndarray) -> np.ndarray:
     """Standard normal CDF, elementwise, in ndtr's form: erf for |z| < 1 and a
-    reflected erfc beyond, z = x / sqrt(2)."""
+    reflected erfc beyond (NaN too), z = x / sqrt(2); one libm call an element."""
     z = x * math.sqrt(0.5)
-    tail = 0.5 * _ERFC(np.abs(z)).astype(float)
-    cdf = np.where(z > 0, 1.0 - tail, tail)
     near = np.abs(z) < 1.0
+    cdf = np.empty_like(z)
     cdf[near] = 0.5 + 0.5 * _ERF(z[near]).astype(float)
+    far = z[~near]
+    tail = 0.5 * _ERFC(np.abs(far)).astype(float)
+    cdf[~near] = np.where(far > 0, 1.0 - tail, tail)
     return cdf
 
 
@@ -231,11 +233,6 @@ class MultivariateNormal:
         return (hi - lo) / 64 * (np.tile(np.concatenate([w, w]), 32) @ (phi * rect))
 
 
-def true_leaf_masses(tree: PartitionTree, dist) -> np.ndarray:
-    """Probability of each leaf region under the given distribution."""
-    return dist.leaf_masses(tree)
-
-
 @dataclass(frozen=True)
 class RiskEstimate:
     mean: float
@@ -266,7 +263,7 @@ def one_sample_risk_moving(
     for rep in range(replicates):
         sample = distribution.sample(n, RngStream(seed, rep))
         tree = build_moving_partition(sample, spec)
-        truth = true_leaf_masses(tree, distribution)
+        truth = distribution.leaf_masses(tree)
         equal = model_pmf(tree)
         values[rep] = f_divergence(_HELLINGER, truth, equal)
         p_prime = free_param_count(tree)
@@ -347,7 +344,7 @@ def bias_bound_check(
     for model_sample in ordered(draws, 1, 1):  # not enumerate: its reused tuple keeps the sample
         tree = build_moving_partition(model_sample, spec)
         del model_sample  # the draw ahead is now the only model sample alive
-        d_true.append(hellinger(true_leaf_masses(tree, mother), true_leaf_masses(tree, model)))
+        d_true.append(hellinger(mother.leaf_masses(tree), model.leaf_masses(tree)))
         counts = count_into_bins(tree, mother.sample(n1, RngStream(seed, 2 * len(d_hat) + 1)))
         d_hat.append(hellinger(counts / n1, model_pmf(tree)))
         p_prime = free_param_count(tree)

@@ -16,10 +16,10 @@ a point to its leaf.
 
 A leaf's path is its child index at every level, and leaves are numbered in
 lexicographic path order, ``np.ndindex(*tree.fans)``.  ``leaf_edges`` reads
-every leaf's (lo, hi] per level from the level arrays; JSON documents are
-written from those arrays.  This module is the only one that knows how a
-partition is stored and split: ``build_moving_partition`` and
-``pairwise_partitions`` share the per-level split ``_split_level``.
+every leaf's (lo, hi] per level from the level arrays; ``tree_to_dict``
+builds the JSON document from those arrays.  This module is the only one
+that knows how a partition is stored and split: ``build_moving_partition``
+and ``pairwise_partitions`` share the per-level split ``_split_level``.
 
 The moving build runs level by level on a permutation of the row indices,
 reading each split axis from its column, a contiguous view, one region's
@@ -41,7 +41,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-import json
 import math
 import numbers
 
@@ -293,9 +292,10 @@ def _json_endpoints(x) -> list:
     return np.where(np.isinf(x), np.where(x > 0, "inf", "-inf"), x.astype(object)).tolist()
 
 
-def tree_to_json(tree: PartitionTree) -> str:
+def tree_to_dict(tree: PartitionTree) -> dict:
+    """The partition as a JSON-ready document: every leaf's path, (lo, hi] per level and count."""
     chains = _json_endpoints(np.stack(leaf_edges(tree), axis=-1).swapaxes(0, 1))
-    doc = {
+    return {
         "dimension": tree.k,
         "depth": tree.depth,
         "axes": list(tree.axes),
@@ -305,4 +305,3 @@ def tree_to_json(tree: PartitionTree) -> str:
             for path, chain, count in zip(np.ndindex(*tree.fans), chains, tree.counts)
         ],
     }
-    return json.dumps(doc, indent=2)

@@ -453,6 +453,18 @@ class TestSimulate:
         assert lines[0].startswith("table,")
         assert len(lines) == 2
 
+    def test_csv_pair_cells_are_json_text(self, capsys):
+        code, out, _ = run_cli(
+            capsys, ["--format", "csv", "simulate", "--table", "5", "--k", "3", "--n2", "5000"]
+        )
+        assert code == 0
+        assert out == (
+            "table,pair,n1,n2,lhs\r\n"
+            '5,"[1, 2]",1000,5000,0.17666673646930936\r\n'
+            '5,"[1, 3]",1000,5000,0.17366573912843167\r\n'
+            '5,"[2, 3]",1000,5000,0.17596306678245194\r\n'
+        )
+
 
 class TestValidate:
     def test_theorem_3(self, capsys):
@@ -523,6 +535,15 @@ class TestPartition:
         )
         assert code == 0
         assert len(json.loads(out)["leaves"]) == 6
+
+    def test_output_file_holds_the_stdout_bytes(self, sample_files, capsys, tmp_path):
+        _, model = sample_files
+        argv = ["partition", "--model", model, "--depth", "2", "--branching", "4"]
+        _, out, _ = run_cli(capsys, argv)
+        path = tmp_path / "tree.json"
+        code, printed, _ = run_cli(capsys, ["--output", str(path), *argv])
+        assert code == 0 and printed == ""
+        assert path.read_bytes() == out.encode()
 
 
 class TestTiedModel:

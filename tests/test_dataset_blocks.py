@@ -346,7 +346,7 @@ class Block(bytearray):
 
 @pytest.mark.parametrize("cpus", [1, 2, 8])
 def test_at_most_workers_plus_one_blocks_alive(monkeypatch, cpus):
-    """Counting the block being taken, the first two blocks as well: each is let go once taken."""
+    """Counting the block being taken: each is let go once taken."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
     rows, refs, alive, block_rows = one_block_a_row(17), [], [], dataset._block_rows
 
@@ -368,19 +368,22 @@ def test_at_most_workers_plus_one_blocks_alive(monkeypatch, cpus):
 
 
 @pytest.mark.parametrize("blocks", [1, 2, 3])
-def test_threads_start_with_the_second_block(csv_path, tiny_blocks, monkeypatch, blocks):
+def test_every_block_is_scanned_on_the_pool(csv_path, tiny_blocks, monkeypatch, blocks):
+    """A sole block as well: every load scans through ``ordered``."""
     csv_path.write_text("".join(one_block_a_row(blocks)))
     expected = oracle.outcome(oracle.ref_load_dataset, csv_path)
-    started, start = [], threading.Thread.start
-    monkeypatch.setattr(threading.Thread, "start", lambda t: started.append(t) or start(t))
+    threads, scan = [], dataset._scan
+    monkeypatch.setattr(
+        dataset, "_scan", lambda block: threads.append(threading.current_thread()) or scan(block)
+    )
     got = oracle.outcome(dataset.load_dataset, csv_path)
     assert got == expected and got[0] == "ok"
-    assert bool(started) == (blocks > 1)
+    assert len(threads) == blocks and threading.main_thread() not in threads
 
 
 @pytest.mark.parametrize(
-    "data", [b"1,2\n3,4\n" * 8, b"1,2\n3,x\n" * 8, b"1,2\n" * 8 + b"\xff\n"],
-    ids=["good", "parse-error", "decode-error"],
+    "data", [b"1,2\n3,4\n" * 8, b"1,2\n3,x\n" * 8, b"1,2\n" * 8 + b"\xff\n", b"1,2\n"],
+    ids=["good", "parse-error", "decode-error", "one-block"],
 )
 def test_the_pool_leaves_no_thread_behind(csv_path, tiny_blocks, data):
     before = threading.active_count()

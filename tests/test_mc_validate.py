@@ -7,7 +7,8 @@ import weakref
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 from scipy.stats import multivariate_normal, norm
 
 from hellfit import mc_validate
@@ -23,7 +24,6 @@ from hellfit.mc_validate import (
     one_sample_risk_fixed,
     one_sample_risk_moving,
     reproduce_table,
-    true_leaf_masses,
 )
 from hellfit.partition import (
     CapacityError,
@@ -94,10 +94,43 @@ class TestDistributions:
         dist = MultivariateNormal([0.0], [[1.0]])
         sample = dist.sample(4000, RngStream(2))
         tree = build_moving_partition(sample, PartitionSpec(depth=1, branching=4))
-        masses = true_leaf_masses(tree, dist)
+        masses = dist.leaf_masses(tree)
         assert masses.sum() == pytest.approx(1.0, abs=1e-12)
         # equal-mass splits of the sampling distribution: each mass near 1/4
         assert np.all(np.abs(masses - 0.25) < 0.03)
+
+
+def reference_normal_cdf(x) -> np.ndarray:
+    """``_normal_cdf`` one element at a time: ``math.erf`` below |z| = 1, a
+    reflected ``math.erfc`` from it on, NaN included."""
+
+    def one(value):
+        z = value * math.sqrt(0.5)
+        if abs(z) < 1.0:
+            return 0.5 + 0.5 * math.erf(z)
+        tail = 0.5 * math.erfc(abs(z))
+        return 1.0 - tail if z > 0 else tail
+
+    return np.array([one(value) for value in x.ravel().tolist()]).reshape(x.shape)
+
+
+# |z| = 1 (x = +-sqrt 2) and the doubles beside it, signed zeros, infinities, NaN
+CDF_EDGES = [np.nextafter(math.sqrt(2), 0), math.sqrt(2), np.nextafter(math.sqrt(2), 2)]
+CDF_EDGES += [-x for x in CDF_EDGES] + [0.0, -0.0, math.inf, -math.inf, math.nan, -math.nan]
+
+
+class TestNormalCdf:
+    @given(
+        arrays(
+            np.float64,
+            array_shapes(min_dims=3, max_dims=3, max_side=5),
+            elements=st.floats() | st.sampled_from(CDF_EDGES) | st.floats(-3.0, 3.0),
+        )
+    )
+    @example(np.array(CDF_EDGES).reshape(2, 3, 2))
+    @settings(max_examples=200, deadline=None)
+    def test_bit_for_bit_the_per_element_reference(self, x):
+        assert mc_validate._normal_cdf(x).tobytes() == reference_normal_cdf(x).tobytes()
 
 
 def reference_box_mass(dist, axes, box) -> float:
@@ -549,7 +582,7 @@ def serial_bias_report(mother, model, spec, n1, n2, replicates, seed):
     d_true, d_hat = np.empty(replicates), np.empty(replicates)
     for rep in range(replicates):
         tree = build_moving_partition(model.sample(n2, RngStream(seed, 2 * rep)), spec)
-        d_true[rep] = hellinger(true_leaf_masses(tree, mother), true_leaf_masses(tree, model))
+        d_true[rep] = hellinger(mother.leaf_masses(tree), model.leaf_masses(tree))
         counts = count_into_bins(tree, mother.sample(n1, RngStream(seed, 2 * rep + 1)))
         d_hat[rep] = hellinger(counts / n1, model_pmf(tree))
     se_true = np.std(d_true, ddof=1) / math.sqrt(replicates) if replicates > 1 else math.nan
@@ -644,7 +677,7 @@ class TestBiasBoundDrawAhead:
         thread switches interleave the two threads finely.
         """
         mother, model, spec = theorem_4_config("shifted-normals")
-        sample, build, masses = model.sample, build_moving_partition, true_leaf_masses
+        sample, build = model.sample, build_moving_partition
         drawn, built, ahead, alive = [], [], [], []  # alive: live samples at each mass call
 
         def counted_sample(n, rng):
@@ -659,13 +692,17 @@ class TestBiasBoundDrawAhead:
             built.append(model_sample.n)
             return result
 
-        def counted_masses(tree, dist):
-            alive.append(sum(ref() is not None for _, ref in drawn[: len(built)]))
-            return masses(tree, dist)
+        def counted(masses):  # a distribution's leaf_masses, counting live samples first
+            def counted_masses(tree):
+                alive.append(sum(ref() is not None for _, ref in drawn[: len(built)]))
+                return masses(tree)
+
+            return counted_masses
 
         monkeypatch.setattr(model, "sample", counted_sample)
         monkeypatch.setattr(mc_validate, "build_moving_partition", slow_build)
-        monkeypatch.setattr(mc_validate, "true_leaf_masses", counted_masses)
+        for dist in (mother, model):
+            monkeypatch.setattr(dist, "leaf_masses", counted(dist.leaf_masses))
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:

@@ -25,7 +25,7 @@ from hellfit.partition import (
     assign,
     leaf_edges,
     model_pmf,
-    tree_to_json,
+    tree_to_dict,
 )
 
 
@@ -245,7 +245,7 @@ def assert_same(tree, ref, values):
     points = values[::5]
     located = [assign(tree, p[None, :])[0] for p in points]  # one row at a time
     assert located == [ref_locate(root, p) for p in points]
-    text = tree_to_json(tree)
+    text = json.dumps(tree_to_dict(tree), indent=2)
     assert text == ref_to_json(tree.k, axes, bounds, leaves)
 
 
