@@ -17,15 +17,10 @@ import sys
 import numpy as np
 
 from hellfit import bayes_threshold
-from hellfit.criterion import fit_payload, pairwise_marginal_scan
+from hellfit.criterion import fit_payload, pairwise_payload
 from hellfit.dataset import load_dataset
 from hellfit.divergence import generator_by_name
-from hellfit.partition import (
-    PartitionSpec,
-    build_moving_partition,
-    pairwise_partitions,
-    tree_to_dict,
-)
+from hellfit.partition import PartitionSpec, build_moving_partition, tree_to_dict
 
 
 def _checked(convert, ok, message):
@@ -158,6 +153,13 @@ def _emit(args, payload):
 def _run_fit(args):
     mother = load_dataset(args.mother, bounds=args.bounds)
     model = load_dataset(args.model, bounds=args.bounds)
+    if args.depth < model.k == mother.k:  # a mismatch is fit_payload's runtime error
+        raise argparse.ArgumentError(None, (
+            f"argument --depth: depth {args.depth} leaves coordinates "
+            f"{list(range(args.depth, model.k))} of k = {model.k} unsplit, and a close "
+            f"verdict says nothing about them; use --depth {model.k}, or hellfit pairwise "
+            "to score every coordinate pair"
+        ))
     spec = PartitionSpec(depth=args.depth, branching=args.branching)
     _emit(args, fit_payload(mother, model, spec, args.epsilon))
 
@@ -188,42 +190,9 @@ def _run_simulate(args):
 def _run_validate(args):
     from hellfit import mc_validate
 
-    if args.theorem == 3:
-        est = mc_validate.one_sample_risk_moving(
-            mc_validate.UniformCube(1),
-            PartitionSpec(depth=1, branching=4),
-            args.n or 1000,
-            args.replicates or 2000,
-            args.seed,
-        )
-        payload = {"theorem": 3, **est.__dict__}
-    elif args.theorem == 2:
-        true_m = [0.25, 0.25, 0.25, 0.25]
-        est = mc_validate.one_sample_risk_fixed(
-            true_m, args.n or 100, args.replicates or 10**5, args.seed
-        )
-        payload = {"theorem": 2, "true_m": true_m, **est.__dict__}
-    else:
-        config = args.config or "identical-normals"
-        if config == "identical-normals":
-            mother = mc_validate.MultivariateNormal([0.0], [[1.0]])
-            model = mc_validate.MultivariateNormal([0.0], [[1.0]])
-            spec = PartitionSpec(depth=1, branching=4)
-        else:
-            mother = mc_validate.MultivariateNormal.shifted(2, 0.1, 0.1)
-            model = mc_validate.MultivariateNormal(np.zeros(2), np.eye(2))
-            spec = PartitionSpec(depth=2, branching=4)
-        report = mc_validate.bias_bound_check(
-            mother,
-            model,
-            spec,
-            n1=args.n1 or 10**3,
-            n2=args.n2 or 10**5,
-            replicates=args.replicates or 500,
-            seed=args.seed,
-        )
-        payload = {"theorem": 4, "config": config, **report.__dict__}
-    _emit(args, payload)
+    _emit(args, mc_validate.validate_payload(
+        args.theorem, args.n, args.n1, args.n2, args.replicates, args.seed, args.config
+    ))
 
 
 def _run_partition(args):
@@ -235,19 +204,7 @@ def _run_partition(args):
 def _run_pairwise(args):
     mother = load_dataset(args.mother)
     model = load_dataset(args.model)
-    matrix, reports = pairwise_marginal_scan(
-        mother, pairwise_partitions(model, args.branching), args.epsilon
-    )
-    payload = {
-        "epsilon": args.epsilon,
-        "threshold": bayes_threshold.delta_star_hellinger(args.epsilon),
-        "lhs_matrix": matrix.tolist(),
-        "pairs": [
-            {"pair": [i + 1, j + 1], **report.to_dict()}
-            for (i, j), report in sorted(reports.items())
-        ],
-    }
-    _emit(args, payload)
+    _emit(args, pairwise_payload(mother, model, args.branching, args.epsilon))
 
 
 def _unread_flag(args):
@@ -298,6 +255,8 @@ def run(argv=None) -> int:
         parser.error(unread)
     try:
         runner(args)
+    except argparse.ArgumentError as exc:  # found once the input files are read
+        parser.error(str(exc))
     except (OSError, ValueError, np.linalg.LinAlgError) as exc:
         print(f"hellfit: error: {exc}", file=sys.stderr)
         return 1

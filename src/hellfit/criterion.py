@@ -7,7 +7,8 @@ mother samples (``score_fitness``).  The pairwise marginal scan scores the
 depth-2 partition of every coordinate pair the same way.  The conclusion
 is one-sided: the verdict is "close" when the inequality holds and
 "not-shown-close" otherwise.  ``fit_payload`` is the whole report that
-``hellfit fit`` prints: the criterion and a per-coordinate KS baseline.
+``hellfit fit`` prints: the criterion and a per-coordinate KS baseline;
+``pairwise_payload`` is the whole report of ``hellfit pairwise``.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from hellfit.partition import (
     count_into_bins,
     free_param_count,
     model_pmf,
+    pairwise_partitions,
 )
 
 
@@ -138,6 +140,24 @@ def pairwise_marginal_scan(mother: Dataset, partitions: dict, epsilon: float):
         reports[(i, j)] = report = score_fitness(tree, mother, epsilon)
         matrix[i, j] = report.lhs
     return matrix, reports
+
+
+def pairwise_payload(mother: Dataset, model: Dataset, branching: int, epsilon: float) -> dict:
+    """Exactly what ``hellfit pairwise`` prints: ``pairwise_marginal_scan`` on
+    ``pairwise_partitions(model, branching)``, its matrix as nested lists and
+    one report per pair (i, j), i < j, labelled 1-based ``[i + 1, j + 1]``."""
+    matrix, reports = pairwise_marginal_scan(
+        mother, pairwise_partitions(model, branching), epsilon
+    )
+    return {
+        "epsilon": epsilon,
+        "threshold": delta_star_hellinger(epsilon),
+        "lhs_matrix": matrix.tolist(),
+        "pairs": [
+            {"pair": [i + 1, j + 1], **report.to_dict()}
+            for (i, j), report in sorted(reports.items())
+        ],
+    }
 
 
 def ks_two_sample(x, y) -> tuple[float, float]:

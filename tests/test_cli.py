@@ -1,3 +1,4 @@
+import argparse
 import ast
 import hashlib
 import importlib.resources
@@ -13,9 +14,10 @@ import jsonschema
 import numpy as np
 import pytest
 
-from hellfit.cli import run
-from hellfit.criterion import fit_payload, ks_two_sample
+from hellfit.cli import _emit, run
+from hellfit.criterion import evaluate_fitness, fit_payload, ks_two_sample, pairwise_payload
 from hellfit.dataset import Dataset, RngStream, save_dataset
+from hellfit.mc_validate import MultivariateNormal, validate_payload
 from hellfit.partition import PartitionSpec
 
 
@@ -69,7 +71,7 @@ class TestFit:
         code, out, _ = run_cli(
             capsys,
             ["fit", "--mother", str(tmp_path / "mother.csv"), "--model", str(tmp_path / "model.csv"),
-             "--depth", "1", "--branching", "4", "--epsilon", "0.05"],
+             "--depth", str(k), "--branching", "4", "--epsilon", "0.05"],
         )
         assert code == 0
         serial = [ks_two_sample(mother.values[:, i], model.values[:, i]) for i in range(k)]
@@ -84,7 +86,7 @@ class TestFit:
         code, out, _ = run_cli(
             capsys,
             ["fit", "--mother", mother, "--model", model,
-             "--depth", "1", "--branching", "4", "--epsilon", "0.01"],
+             "--depth", "2", "--branching", "4", "--epsilon", "0.01"],
         )
         assert code == 0
         assert json.loads(out)["verdict"] == "not-shown-close"
@@ -96,7 +98,7 @@ class TestFit:
             capsys,
             ["--output", str(out_path),
              "fit", "--mother", mother, "--model", model,
-             "--depth", "1", "--branching", "4", "--epsilon", "0.05"],
+             "--depth", "2", "--branching", "4", "--epsilon", "0.05"],
         )
         assert code == 0 and out == ""
         assert "verdict" in json.loads(out_path.read_text())
@@ -121,7 +123,7 @@ class TestFit:
             capsys,
             ["--format", "pretty",
              "fit", "--mother", mother, "--model", model,
-             "--depth", "1", "--branching", "4", "--epsilon", "0.05"],
+             "--depth", "2", "--branching", "4", "--epsilon", "0.05"],
         )
         assert code == 0
         assert "verdict:" in out
@@ -131,7 +133,7 @@ class TestFit:
         code, _, err = run_cli(
             capsys,
             ["fit", "--mother", str(tmp_path / "nope.csv"), "--model", model,
-             "--depth", "1", "--branching", "4", "--epsilon", "0.05"],
+             "--depth", "2", "--branching", "4", "--epsilon", "0.05"],
         )
         assert code == 1
         assert "error" in err
@@ -140,7 +142,7 @@ class TestFit:
         mother, model = sample_files
         with pytest.raises(SystemExit) as exc:
             run(["fit", "--mother", mother, "--model", model,
-                 "--depth", "1", "--branching", "4", "--epsilon", "0.7"])
+                 "--depth", "2", "--branching", "4", "--epsilon", "0.7"])
         assert exc.value.code == 2
 
     def test_unknown_flag_exit_2(self):
@@ -189,7 +191,7 @@ class TestFitIngest:
         code, out, err = run_cli(
             capsys,
             ["fit", "--mother", str(header_only), "--model", model,
-             "--depth", "1", "--branching", "4", "--epsilon", "0.05"],
+             "--depth", "2", "--branching", "4", "--epsilon", "0.05"],
         )
         assert code == 1 and out == ""
         assert f"{header_only}: empty input" in err
@@ -211,6 +213,124 @@ class TestFitPayload:
         assert code == 0
         expected = fit_payload(mother, model, PartitionSpec(depth=k, branching=3), 0.05)
         assert out == json.dumps(expected, indent=2) + "\n"
+
+
+class TestFitCoversEveryCoordinate:
+    """``fit`` splits the coordinates 0 .. depth - 1; a depth below k is a usage error."""
+
+    def test_unsplit_coordinate_example_exit_2(self, capsys, tmp_path):
+        """The mother's coordinate 3 is shifted by 3 sd; depth 3 never splits it."""
+        shift = np.array([0.0, 0.0, 0.0, 3.0])
+        mother = MultivariateNormal(shift, np.eye(4)).sample(10**4, RngStream(8, 0))
+        model = MultivariateNormal(np.zeros(4), np.eye(4)).sample(4 * 10**4, RngStream(8, 1))
+        save_dataset(mother, tmp_path / "mother.csv")
+        save_dataset(model, tmp_path / "model.csv")
+        with pytest.raises(SystemExit) as exc:
+            run(["fit", "--mother", str(tmp_path / "mother.csv"), "--model",
+                 str(tmp_path / "model.csv"), "--depth", "3", "--branching", "4",
+                 "--epsilon", "0.05"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error: argument --depth: depth 3 leaves coordinates [3] of k = 4 unsplit" in (
+            captured.err
+        )
+        assert "use --depth 4, or hellfit pairwise" in captured.err
+
+    def test_the_example_scores_close_at_depth_3(self):
+        """What the usage error stops: at the example's sizes the criterion on
+        coordinates 0-2 alone says close."""
+        shift = np.array([0.0, 0.0, 0.0, 3.0])
+        mother = MultivariateNormal(shift, np.eye(4)).sample(10**5, RngStream(8, 0))
+        model = MultivariateNormal(np.zeros(4), np.eye(4)).sample(2 * 10**6, RngStream(8, 1))
+        report = evaluate_fitness(mother, model, PartitionSpec(depth=3, branching=4), 0.05)
+        assert report.verdict == "close"
+
+    @pytest.mark.parametrize("depth", ["1", "2"])
+    def test_every_depth_below_k_names_its_unsplit_coordinates(self, capsys, golden_files, depth):
+        with pytest.raises(SystemExit) as exc:
+            run(["fit", "--mother", golden_files["mother"], "--model", golden_files["model"],
+                 "--depth", depth, "--branching", "4", "--epsilon", "0.05"])
+        assert exc.value.code == 2
+        unsplit = list(range(int(depth), 3))
+        assert f"depth {depth} leaves coordinates {unsplit} of k = 3 unsplit" in (
+            capsys.readouterr().err
+        )
+
+    def test_dimension_mismatch_stays_a_runtime_error(self, capsys, sample_files, golden_files):
+        code, out, err = run_cli(
+            capsys,
+            ["fit", "--mother", sample_files[0], "--model", golden_files["model"],
+             "--depth", "1", "--branching", "4", "--epsilon", "0.05"],
+        )
+        assert code == 1 and out == ""
+        assert "dimension mismatch" in err
+
+    def test_partition_still_takes_a_depth_below_k(self, capsys, sample_files):
+        code, out, _ = run_cli(
+            capsys, ["partition", "--model", sample_files[1], "--depth", "1", "--branching", "4"]
+        )
+        assert code == 0
+        assert len(json.loads(out)["leaves"]) == 4
+
+
+# command line -> the library function and arguments that build its report
+LIBRARY_CALLS = {
+    "validate-2-defaults": (["validate", "--theorem", "2"], validate_payload, dict(theorem=2)),
+    "validate-2": (
+        ["validate", "--theorem", "2", "--n", "50", "--replicates", "300", "--seed", "3"],
+        validate_payload, dict(theorem=2, n=50, replicates=300, seed=3),
+    ),
+    "validate-3": (
+        ["validate", "--theorem", "3", "--n", "200", "--replicates", "20", "--seed", "4"],
+        validate_payload, dict(theorem=3, n=200, replicates=20, seed=4),
+    ),
+    "validate-4-identical": (
+        ["validate", "--theorem", "4", "--n1", "200", "--n2", "3000", "--replicates", "3"],
+        validate_payload, dict(theorem=4, n1=200, n2=3000, replicates=3),
+    ),
+    "validate-4-shifted": (
+        ["validate", "--theorem", "4", "--config", "shifted-normals", "--n1", "200",
+         "--n2", "3000", "--replicates", "3", "--seed", "2"],
+        validate_payload,
+        dict(theorem=4, config="shifted-normals", n1=200, n2=3000, replicates=3, seed=2),
+    ),
+    "pairwise": (
+        ["pairwise", "--mother", "{mother}", "--model", "{model}", "--epsilon", "0.05"],
+        pairwise_payload, dict(branching=4, epsilon=0.05),
+    ),
+    "pairwise-branching-2": (
+        ["pairwise", "--mother", "{mother}", "--model", "{model}", "--branching", "2",
+         "--epsilon", "0.1"],
+        pairwise_payload, dict(branching=2, epsilon=0.1),
+    ),
+}
+
+
+class TestReportsAreOneLibraryCall:
+    @pytest.fixture(scope="class")
+    def pair_samples(self, tmp_path_factory):
+        base = tmp_path_factory.mktemp("cli-pairs")
+        rng = RngStream(13).generator()
+        samples = {
+            "mother": Dataset(rng.standard_normal((600, 4)) + 0.1),
+            "model": Dataset(rng.standard_normal((6000, 4))),
+        }
+        for name, sample in samples.items():
+            save_dataset(sample, base / f"{name}.csv")
+        return samples, {name: str(base / f"{name}.csv") for name in samples}
+
+    @pytest.mark.parametrize("fmt", ["json", "pretty"])
+    @pytest.mark.parametrize("name", sorted(LIBRARY_CALLS))
+    def test_cli_prints_exactly_the_library_dict(self, capsys, pair_samples, fmt, name):
+        argv, call, kwargs = LIBRARY_CALLS[name]
+        samples, paths = pair_samples
+        code, out, _ = run_cli(capsys, ["--format", fmt, *(arg.format(**paths) for arg in argv)])
+        assert code == 0
+        if call is pairwise_payload:
+            kwargs = {**samples, **kwargs}
+        _emit(argparse.Namespace(format=fmt, output=None), call(**kwargs))
+        assert out == capsys.readouterr().out
 
 
 class TestUnsupportedFormat:

@@ -20,6 +20,9 @@ module calls numpy's text readers, whose conversions differ from ``float()``.
 No module imports scipy, at load time or inside a function: the runtime
 depends on numpy alone, and scipy is a test dependency, the reference of the
 differential tests.
+The CLI builds no report itself: ``validate`` and ``pairwise`` call one library
+function each, so ``cli.py`` names none of the distributions, checks or scans
+those reports are made of.
 Nor is ``concurrent.futures`` loaded with the CLI, the partitions or the
 Monte Carlo module: only the CSV loader, ``fit``'s KS baseline, the pairwise
 scan and the theorem-4 check run thread pools, and they import it when they run.
@@ -165,6 +168,52 @@ def test_only_the_divergence_module_applies_zero_bin_conventions(path):
 )
 def test_checker_flags_boundary_reads(source, expected):
     assert boundary_reads(source) == expected
+
+
+REPORT_PARTS = {
+    "MultivariateNormal",
+    "UniformCube",
+    "bias_bound_check",
+    "one_sample_risk_moving",
+    "one_sample_risk_fixed",
+    "pairwise_partitions",
+    "pairwise_marginal_scan",
+}
+
+
+def report_parts(source: str) -> list[str]:
+    """Names in ``source``, read or imported, of what a validate or pairwise report is built from."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            name = node.id
+        elif isinstance(node, ast.Attribute):
+            name = node.attr
+        elif isinstance(node, ast.alias):
+            name = node.name.rsplit(".", 1)[-1]
+        else:
+            continue
+        if name in REPORT_PARTS:
+            found.append(f"{name}:{node.lineno}")
+    return found
+
+
+def test_cli_builds_no_validate_or_pairwise_report():
+    assert report_parts((PACKAGE / "cli.py").read_text()) == []
+
+
+@pytest.mark.parametrize(
+    "source, expected",
+    [
+        ("from hellfit.criterion import pairwise_marginal_scan", ["pairwise_marginal_scan:1"]),
+        ("from hellfit import mc_validate\nmc_validate.UniformCube(1)", ["UniformCube:2"]),
+        ("from hellfit.mc_validate import bias_bound_check as check", ["bias_bound_check:1"]),
+        ("x = 1\nMultivariateNormal = None", ["MultivariateNormal:2"]),
+        ("mc_validate.validate_payload(4)\npairwise_payload(a, b, 4, 0.05)", []),
+    ],
+)
+def test_checker_flags_report_parts(source, expected):
+    assert report_parts(source) == expected
 
 
 def unused_public_names(sources: dict[str, str], exported) -> list[str]:
