@@ -179,7 +179,7 @@ def _run_simulate(args):
         args.table,
         n1_values=args.n1,
         n2=args.n2,
-        epsilon=args.epsilon or 0.05,
+        epsilon=args.epsilon,
         seed=args.seed,
         k=args.k,
         branching=args.branching,

@@ -92,10 +92,14 @@ def load_dataset(path, bounds=None) -> Dataset:
     gives.  Every file is read from disk once, block by block, and never
     held whole, whether it is good or bad; the blocks, a sole one too, are
     scanned on a pool (``_scans``), but the values and the first error are
-    those of a one-thread parse.  A block that is not plain (ASCII,
-    no line break but ``\\n``) is decoded where it is read, with
-    ``locale.getpreferredencoding(False)``, the encoding ``Path.read_text``
-    uses, and split with ``splitlines``.
+    those of a one-thread parse.  Each block's values are copied into
+    memory of the calling thread as the block is parsed, and its scan let
+    go: an array made on a pool thread lives in that thread's malloc arena,
+    above the scan's freed temporaries, and one kept until the join would
+    keep the arena from shrinking or being reused.  A block that is not
+    plain (ASCII, no line break but ``\\n``) is decoded where it is read,
+    with ``locale.getpreferredencoding(False)``, the encoding
+    ``Path.read_text`` uses, and split with ``splitlines``.
 
     A cell ``[+-]?digits[.digits]([eE][+-]?d{1,3})?`` whose mantissa (the
     bytes before the e) has at most ``_CELL`` bytes and whose digits form an
@@ -177,7 +181,10 @@ def _parse_blocks(blocks):
     nothing but space, tab and ``\\x1f``.  ``_scans`` scans the blocks on a
     pool and the rest runs here, in file order: a block is parsed as it is,
     and only if that fails, again without its blank lines, to raise the
-    first error.  ParseError is raised once every block is read: a later
+    first error.  A parsed block's values are a ``(k, rows)`` copy made
+    here, and its scan is dropped before the next one is awaited, so no
+    array from a pool thread's malloc arena outlives its block's parse.
+    ParseError is raised once every block is read: a later
     block that does not decode raises its UnicodeDecodeError instead, as
     ``Path.read_text`` would before any parse.
     """
@@ -201,6 +208,7 @@ def _parse_blocks(blocks):
                     for _ in blocks:  # the rest of the file, read but not scanned
                         pass
             line += scan.lasts.size
+        del scan  # a pool thread's arrays: freed before the next block is awaited
     if error is not None:
         raise error
     if not columns:
@@ -318,7 +326,7 @@ def _block_rows(scan, header, columns, numbers):
         raise ParseError(f"{words} cell ({numbers[row]},{cell - lasts[row] + widths[row]})")
     if ragged.size:
         raise ParseError(f"ragged row {numbers[ragged[0]]}")
-    columns.append(values.reshape(lasts.size, width).T)
+    columns.append(values.reshape(lasts.size, width).T.copy())  # calling-thread memory
     return header
 
 

@@ -388,11 +388,16 @@ def validate_payload(theorem, n=None, n1=None, n2=None, replicates=None, seed=0,
     ``config`` (default identical-normals: N(0, 1) twice at depth 1;
     shifted-normals: ``MultivariateNormal.shifted(2, 0.1, 0.1)`` against
     N(0, I) at depth 2; branching 4), with n1 1e3, n2 1e5 and 500 replicates.
+    An argument the theorem does not read raises ValueError if given.
     """
 
     def given(value, default):
         return default if value is None else value
 
+    if theorem in (2, 3):
+        _refuse_unread(f"theorem {theorem}", n1=n1, n2=n2, config=config)
+    elif theorem == 4:
+        _refuse_unread("theorem 4", n=n)
     if theorem == 2:
         true_m = [0.25] * 4
         est = one_sample_risk_fixed(true_m, given(n, 100), given(replicates, 10**5), seed)
@@ -417,6 +422,13 @@ def validate_payload(theorem, n=None, n1=None, n2=None, replicates=None, seed=0,
     return {"theorem": 4, "config": config, **report.__dict__}
 
 
+def _refuse_unread(mode, **arguments):
+    """Raise ValueError naming the first of ``arguments`` that is given (not None)."""
+    for name, value in arguments.items():
+        if value is not None:
+            raise ValueError(f"{name} is not read by {mode}")
+
+
 _TABLE_SHIFT = {1: (0.0, 0.0), 2: (0.01, 0.01), 3: (0.1, 0.1), 4: (1.0, 1.0)}
 _PAIRWISE_N1 = {5: 10**3, 6: 10**4}
 
@@ -425,15 +437,17 @@ def reproduce_table(
     table_id: int,
     n1_values=None,
     n2: int = 10**7,
-    epsilon: float = 0.05,
+    epsilon: float | None = None,
     seed: int = 0,
     k: int | None = None,
     branching: int = 4,
 ):
     """Rows of one of the six simulation tables (single run per cell).
 
-    Tables 1-4: one k=3 depth-3 partition scored at several mother sample sizes.
-    Tables 5-6: the pairwise two-dimensional scan at fixed n1.
+    Tables 1-4: one k=3 depth-3 partition scored at several mother sample
+    sizes, at ``epsilon`` (None: 0.05).  Tables 5-6: the pairwise
+    two-dimensional scan at fixed n1; they read neither ``n1_values`` nor
+    ``epsilon``, and raise ValueError if either is given.
     """
     if table_id in _TABLE_SHIFT:
         alpha, beta = _TABLE_SHIFT[table_id]
@@ -443,6 +457,7 @@ def reproduce_table(
         model = MultivariateNormal(np.zeros(k), np.eye(k))
         if n1_values is None:
             n1_values = [10**5, 10**4]
+        epsilon = 0.05 if epsilon is None else epsilon
         tree = build_moving_partition(model.sample(n2, RngStream(seed, 0)), spec)
         rows = []
         for i, n1 in enumerate(n1_values):
@@ -462,6 +477,7 @@ def reproduce_table(
             )
         return rows
     if table_id in _PAIRWISE_N1:
+        _refuse_unread(f"table {table_id}", n1_values=n1_values, epsilon=epsilon)
         k = 10 if k is None else k
         if k < 2:
             raise ValueError("pairwise scan needs k >= 2")
@@ -469,8 +485,8 @@ def reproduce_table(
         mother = MultivariateNormal.shifted(k, 0.1, 0.1)
         model = MultivariateNormal(np.zeros(k), np.eye(k))
         mother_sample = mother.sample(n1, RngStream(seed, 0))
-        payload = pairwise_payload(
-            mother_sample, model.sample(n2, RngStream(seed, 1)), branching, epsilon
+        payload = pairwise_payload(  # the rows keep lhs only, which no epsilon changes
+            mother_sample, model.sample(n2, RngStream(seed, 1)), branching, 0.05
         )
         return [
             {"table": table_id, "pair": pair["pair"], "n1": n1, "n2": n2, "lhs": pair["lhs"]}

@@ -231,6 +231,31 @@ def test_loaded_matrix_is_the_join_of_the_blocks(csv_path, monkeypatch, text):
     assert values.tolist() == [[i, i + 1, i / 4] for i in range(40)]
 
 
+@pytest.mark.parametrize(
+    "text",
+    ["1,2\n3,4\n" * 4, "x,y\n" + "1,2\n3,4\n" * 4, "1,2\n\n3,4\n" * 4],
+    ids=["rows", "header", "blank-lines"],
+)
+def test_no_parsed_block_shares_memory_with_its_scan(csv_path, tiny_blocks, monkeypatch, text):
+    """Each block's values are copied out of its scan as the block is parsed.
+
+    A scan's arrays are made on a pool thread, in that thread's malloc arena;
+    a block that kept a view of them would pin the arena until the join.
+    """
+    shared, block_rows = [], dataset._block_rows
+
+    def checked_rows(scan, header, columns, numbers):
+        before = len(columns)
+        header = block_rows(scan, header, columns, numbers)
+        shared.extend(np.shares_memory(block, scan.values) for block in columns[before:])
+        return header
+
+    monkeypatch.setattr(dataset, "_block_rows", checked_rows)
+    csv_path.write_text(text)
+    assert dataset.load_dataset(csv_path).values.tolist() == [[1, 2], [3, 4]] * 4
+    assert len(shared) > 1 and not any(shared)  # several blocks, none a view of its scan
+
+
 # ---------------------------------------------------------------- the scan pool
 
 

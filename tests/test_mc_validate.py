@@ -1,3 +1,4 @@
+from functools import partial
 import math
 import re
 import sys
@@ -816,6 +817,32 @@ class TestValidatePayload:
         assert validate_payload(2, replicates=50) == validate_payload(2, n=100, replicates=50)
         payload = validate_payload(3, n=40, replicates=5)
         assert (payload["replicates"], payload["prediction"]) == (5, 3 / 80)
+
+
+UNREAD = [
+    *(("theorem", theorem, name) for theorem in (2, 3) for name in ("n1", "n2", "config")),
+    ("theorem", 4, "n"),
+    *(("table", table, name) for table in (5, 6) for name in ("n1_values", "epsilon")),
+]
+GIVEN = {"n": 5, "n1": 5, "n2": 7, "config": "shifted-normals", "n1_values": [10], "epsilon": 0.05}
+
+
+@pytest.mark.parametrize("mode, number, name", UNREAD, ids=["-".join(map(str, c)) for c in UNREAD])
+def test_an_argument_that_is_never_read_is_refused(mode, number, name, monkeypatch):
+    """Before anything is drawn: a given size or setting must not pass for one that was used."""
+
+    def draw(*args):
+        raise AssertionError("drew before the arguments were checked")
+
+    for owner, attribute in [(MultivariateNormal, "sample"), (UniformCube, "sample"),
+                             (mc_validate, "one_sample_risk_fixed")]:
+        monkeypatch.setattr(owner, attribute, draw)
+    if mode == "theorem":
+        call = partial(validate_payload, number, replicates=10)
+    else:
+        call = partial(reproduce_table, number, n2=100)
+    with pytest.raises(ValueError, match=f"^{name} is not read by {mode} {number}$"):
+        call(**{name: GIVEN[name]})
 
 
 class TestPairwiseScan:
