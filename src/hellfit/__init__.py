@@ -1,9 +1,8 @@
 """Two-sample closeness evaluation via equal-mass discretization and the
 Hellinger distance, with a Bayes-error-rate-derived threshold."""
 
-from hellfit.dataset import (
-    Dataset, RngStream, ar_covariance, load_dataset, sample_mvn, save_dataset
-)
+from hellfit.dataset import Dataset, RngStream, load_dataset, save_dataset
+from hellfit.models import MultivariateNormal, UniformCube, ar_covariance
 from hellfit.divergence import (
     DivergenceGenerator,
     alpha_generator,
@@ -43,7 +42,8 @@ __all__ = [
     "ar_covariance",
     "load_dataset",
     "save_dataset",
-    "sample_mvn",
+    "MultivariateNormal",
+    "UniformCube",
     "DivergenceGenerator",
     "alpha_generator",
     "dual_generator",

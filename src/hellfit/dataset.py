@@ -1,4 +1,6 @@
-"""Ingestion, generation and description of k-dimensional real samples."""
+"""k-dimensional real samples: ``Dataset``, CSV ingestion and writing, seeded
+``RngStream``s, and ``ordered``, the one helper that runs work on thread pools.
+Laws to draw samples from live in ``hellfit.models``."""
 
 from __future__ import annotations
 
@@ -449,54 +451,3 @@ def save_dataset(dataset: Dataset, path) -> None:
         for at in range(0, dataset.n, _SAVE_ROWS):
             chunk = dataset.values[at : at + _SAVE_ROWS]
             fh.write(line * len(chunk) % tuple(chunk.ravel().tolist()))  # row after row
-
-
-def ar_covariance(k: int, rho: float) -> np.ndarray:
-    """Symmetric positive-definite matrix with entries rho**|i-j|."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if not abs(rho) < 1:
-        raise ValueError("|rho| must be < 1")
-    idx = np.arange(k)
-    return rho ** np.abs(idx[:, None] - idx[None, :])
-
-
-def sample_mvn(n: int, mean, cov, rng: RngStream) -> Dataset:
-    """Draw n i.i.d. multivariate normal rows via lower-triangular Cholesky.
-
-    The values are those of ``mean + z @ L.T`` for one ``(n, k)`` standard
-    normal draw ``z``, bit for bit.  ``z`` is drawn in blocks of
-    ``max(2**12, 2**18 // k**2)`` rows, the same stream as one draw, and each
-    block is multiplied into its slice of the column-major sample, so ``z`` is
-    held whole only when it is one block.  The rows past the last whole block
-    join it, so no block but a sole one is shorter than the block rows: a
-    short product can take another BLAS kernel, whose sums may differ in the
-    last bit (blocks under 2**12 rows broke bit-equality at k = 12 and 16).
-    OpenBLAS wakes its threads from about 2**19 multiply-adds, and a woken
-    thread spins for about 0.1 s after the call, on a core the partition build
-    that follows would use; a block is ``k * k`` multiply-adds a row, so every
-    product, a folded last block included, stays under that for k <= 8, and
-    whole blocks do for k <= 11.  Few blocks mean few ``standard_normal``
-    calls, each of which gives the GIL back and takes it again: a 1e5 x 2
-    sample is one call, not the 25 of 2**12-row blocks, which matters where
-    the draw runs on a thread beside a build, as in the theorem-4 check.  The
-    first block is drawn before the sample is allocated; the other order made
-    glibc map fresh pages for every later block.
-    """
-    mean = np.atleast_1d(np.asarray(mean, dtype=float))
-    cov = np.atleast_2d(np.asarray(cov, dtype=float))
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    lower = np.linalg.cholesky(cov)  # raises LinAlgError if not SPD
-    generator, k = rng.generator(), mean.size
-    rows = max(1 << 12, (1 << 18) // (k * k))
-    starts = range(0, max(n // rows, 1) * rows, rows)
-    ends = [*starts[1:], n]
-    z = generator.standard_normal((ends[0], k))
-    columns = np.empty((k, n))  # (k, n): the transpose is the column-major sample
-    for lo, hi in zip(starts, ends):
-        if lo:
-            z = generator.standard_normal((hi - lo, k))
-        np.matmul(lower, z.T, out=columns[:, lo:hi])
-    columns += mean[:, None]
-    return Dataset(columns.T)

@@ -33,13 +33,12 @@ from hellfit.divergence import (
     hellinger,
 )
 from hellfit.mc_validate import (
-    MultivariateNormal,
-    UniformCube,
     bias_bound_check,
     fixed_risk_prediction,
     one_sample_risk_fixed,
     one_sample_risk_moving,
 )
+from hellfit.models import MultivariateNormal, UniformCube
 from hellfit.partition import (
     PartitionSpec,
     assign,

@@ -17,7 +17,8 @@ import pytest
 from hellfit.cli import _emit, run
 from hellfit.criterion import evaluate_fitness, fit_payload, ks_two_sample, pairwise_payload
 from hellfit.dataset import Dataset, RngStream, save_dataset
-from hellfit.mc_validate import MultivariateNormal, validate_payload
+from hellfit.mc_validate import validate_payload
+from hellfit.models import MultivariateNormal
 from hellfit.partition import PartitionSpec
 
 
@@ -917,7 +918,7 @@ class TestConsoleScript:
         proc = run_checkout_python(
             "-c",
             BLOCK_SCIPY + "from hellfit.dataset import RngStream;"
-            " from hellfit.mc_validate import MultivariateNormal;"
+            " from hellfit.models import MultivariateNormal;"
             " from hellfit.partition import PartitionSpec, build_moving_partition;"
             " dist = MultivariateNormal.shifted(3, 0.1, 0.1);"
             " tree = build_moving_partition(dist.sample(4000, RngStream(0)), PartitionSpec(3, 4));"

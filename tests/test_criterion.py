@@ -17,7 +17,8 @@ from hellfit.criterion import (
     ks_two_sample,
     score_fitness,
 )
-from hellfit.dataset import Dataset, RngStream, ar_covariance, sample_mvn
+from hellfit.dataset import Dataset, RngStream
+from hellfit.models import MultivariateNormal, ar_covariance
 from hellfit.partition import (
     CapacityError,
     DegeneratePartitionError,
@@ -98,8 +99,8 @@ class TestEvaluateFitness:
 
     def test_identical_3d_normals_matches_table(self):
         # D should be small; LHS dominated by the bias sum 7.10e-3 < 0.02
-        mother = sample_mvn(10**5, np.zeros(3), np.eye(3), RngStream(10, 0))
-        model = sample_mvn(2 * 10**6, np.zeros(3), np.eye(3), RngStream(10, 1))
+        mother = MultivariateNormal(np.zeros(3), np.eye(3)).sample(10**5, RngStream(10, 0))
+        model = MultivariateNormal(np.zeros(3), np.eye(3)).sample(2 * 10**6, RngStream(10, 1))
         report = evaluate_fitness(
             mother, model, PartitionSpec(depth=3, branching=4), 0.05
         )
@@ -110,8 +111,8 @@ class TestEvaluateFitness:
     def test_fit_csv_sizes_cannot_reach_close(self):
         # p' = 63 at n2 = 3e5: bias_n2 = sqrt(8 * 63 / 3e5) = 0.041 is above the
         # threshold 0.02, so even two samples of one distribution get not-shown-close
-        mother = sample_mvn(10**5, np.zeros(3), np.eye(3), RngStream(12, 0))
-        model = sample_mvn(3 * 10**5, np.zeros(3), np.eye(3), RngStream(12, 1))
+        mother = MultivariateNormal(np.zeros(3), np.eye(3)).sample(10**5, RngStream(12, 0))
+        model = MultivariateNormal(np.zeros(3), np.eye(3)).sample(3 * 10**5, RngStream(12, 1))
         report = evaluate_fitness(
             mother, model, PartitionSpec(depth=3, branching=4), 0.05
         )
@@ -122,8 +123,8 @@ class TestEvaluateFitness:
         assert report.to_dict()["close_reachable"] is False
 
     def test_far_apart_not_shown_close(self):
-        mother = sample_mvn(5000, [5.0], [[1.0]], RngStream(11, 0))
-        model = sample_mvn(5000, [0.0], [[1.0]], RngStream(11, 1))
+        mother = MultivariateNormal([5.0], [[1.0]]).sample(5000, RngStream(11, 0))
+        model = MultivariateNormal([0.0], [[1.0]]).sample(5000, RngStream(11, 1))
         report = evaluate_fitness(
             mother, model, PartitionSpec(depth=1, branching=4), 0.05
         )

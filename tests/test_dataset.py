@@ -5,12 +5,10 @@ from hellfit.dataset import (
     Dataset,
     ParseError,
     RngStream,
-    ar_covariance,
     load_dataset,
-    sample_mvn,
     save_dataset,
 )
-from hellfit.mc_validate import UniformCube
+from hellfit.models import MultivariateNormal, UniformCube, ar_covariance
 
 
 def write(tmp_path, text, name="data.csv"):
@@ -93,7 +91,7 @@ class TestArCovariance:
 _ROW_MAJOR_NS = [1, 3, 2**12 - 1, 2**12, 2**12 + 1, 2**13 + 1, 10**4 + 7] + [
     2**16 - 1, 2**16, 2**16 + 1, 2**17 + 1
 ]
-# every n above at k = 1..6, then the block edges of sample_mvn's per-k block rows
+# every n above at k = 1..6, then the block edges of the sampler's per-k block rows
 ROW_MAJOR_CASES = [(n, k) for n in _ROW_MAJOR_NS for k in range(1, 7)]
 ROW_MAJOR_CASES += [
     (n, k)
@@ -107,29 +105,29 @@ ROW_MAJOR_CASES += [
 class TestSampleMvn:
     def test_mean_within_clt_bound(self):
         n = 10**5
-        ds = sample_mvn(n, [0, 0], np.eye(2), RngStream(11))
+        ds = MultivariateNormal([0, 0], np.eye(2)).sample(n, RngStream(11))
         assert np.all(np.abs(ds.values.mean(axis=0)) < 4 / np.sqrt(n))
 
     def test_shifted_mean(self):
         n = 10**5
-        ds = sample_mvn(n, [1, 1], np.eye(2), RngStream(12))
+        ds = MultivariateNormal([1, 1], np.eye(2)).sample(n, RngStream(12))
         assert np.all(np.abs(ds.values.mean(axis=0) - 1) < 4 / np.sqrt(n))
 
     def test_non_spd_rejected(self):
         with pytest.raises(np.linalg.LinAlgError):
-            sample_mvn(1, [0, 0], np.zeros((2, 2)), RngStream(0))
+            MultivariateNormal([0, 0], np.zeros((2, 2))).sample(1, RngStream(0))
 
     def test_deterministic_per_stream(self):
-        a = sample_mvn(100, [0], [[1]], RngStream(5, 3))
-        b = sample_mvn(100, [0], [[1]], RngStream(5, 3))
-        c = sample_mvn(100, [0], [[1]], RngStream(5, 4))
+        a = MultivariateNormal([0], [[1]]).sample(100, RngStream(5, 3))
+        b = MultivariateNormal([0], [[1]]).sample(100, RngStream(5, 3))
+        c = MultivariateNormal([0], [[1]]).sample(100, RngStream(5, 4))
         assert np.array_equal(a.values, b.values)
         assert not np.array_equal(a.values, c.values)
 
     def test_empirical_covariance_converges(self):
         n, k = 10**4, 3
         cov = ar_covariance(k, 0.6)
-        ds = sample_mvn(n, np.zeros(k), cov, RngStream(21))
+        ds = MultivariateNormal(np.zeros(k), cov).sample(n, RngStream(21))
         emp = np.cov(ds.values, rowvar=False)
         assert np.linalg.norm(emp - cov, "fro") < 10 * k / np.sqrt(n)
 
@@ -147,7 +145,7 @@ class TestSampleMvn:
         stream = RngStream(31, k)
         z = stream.generator().standard_normal((n, k))
         expected = mean + z @ np.linalg.cholesky(cov).T
-        values = sample_mvn(n, mean, cov, stream).values
+        values = MultivariateNormal(mean, cov).sample(n, stream).values
         assert np.array_equal(values, expected)
         assert np.array_equal(np.signbit(values), np.signbit(expected))
 
@@ -159,7 +157,7 @@ class TestLayout:
             lambda tmp_path: Dataset(np.arange(6.0).reshape(3, 2)),
             lambda tmp_path: Dataset([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]]),
             lambda tmp_path: load_dataset(write(tmp_path, "a,b\n1,2\n3,4\n5,6\n")),
-            lambda tmp_path: sample_mvn(50, np.zeros(3), np.eye(3), RngStream(1)),
+            lambda tmp_path: MultivariateNormal(np.zeros(3), np.eye(3)).sample(50, RngStream(1)),
             lambda tmp_path: UniformCube(4).sample(50, RngStream(2)),
         ],
         ids=["c-array", "list", "load_dataset", "sample_mvn", "uniform-cube"],

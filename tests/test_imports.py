@@ -17,6 +17,11 @@ exported in ``hellfit.__all__``: a name that only tests call is dead code.
 Numbers are parsed from text in ``dataset.py`` alone, by its block parser: no
 module calls numpy's text readers, whose conversions differ from ``float()``.
 
+Distributions have one home, ``models.py``, which imports no hellfit module but
+``dataset`` and ``partition`` (not the checks, the criterion or the CLI); and
+``dataset.py`` draws from no law itself: it calls no Cholesky factorization
+and no standard normal generator.
+
 No module imports scipy, at load time or inside a function: the runtime
 depends on numpy alone, and scipy is a test dependency, the reference of the
 differential tests.
@@ -262,15 +267,20 @@ def test_checker_flags_unused_public_names(sources, exported, expected):
 TEXT_READERS = {"loadtxt", "genfromtxt", "fromstring"}
 
 
-def text_reader_calls(source: str) -> list[str]:
-    """Calls in ``source`` of numpy's text-to-number readers, by any name."""
+def named_calls(source: str, names) -> list[str]:
+    """Calls in ``source`` of a function or method with one of ``names``, by any path."""
     return [
         f"{name}:{node.lineno}"
         for node in ast.walk(ast.parse(source))
         if isinstance(node, ast.Call)
         and (name := node.func.attr if isinstance(node.func, ast.Attribute) else _dotted(node.func))
-        in TEXT_READERS
+        in names
     ]
+
+
+def text_reader_calls(source: str) -> list[str]:
+    """Calls in ``source`` of numpy's text-to-number readers, by any name."""
+    return named_calls(source, TEXT_READERS)
 
 
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda path: path.name)
@@ -328,7 +338,50 @@ def test_checker_flags_eager_scipy_imports(source, expected):
     assert scipy_imports(source) == expected
 
 
-@pytest.mark.parametrize("module", ["hellfit.cli", "hellfit.partition", "hellfit.mc_validate"])
+def hellfit_imports(source: str) -> list[str]:
+    """Modules of hellfit, the package itself included, that ``source`` imports anywhere,
+    in ``ast.walk`` order; a relative import keeps its leading dots."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found += [alias.name for alias in node.names if alias.name.split(".")[0] == "hellfit"]
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if node.level or module.split(".")[0] == "hellfit":
+                found.append("." * node.level + module)
+    return found
+
+
+def test_models_import_only_the_dataset_and_partition():
+    imports = hellfit_imports((PACKAGE / "models.py").read_text())
+    assert set(imports) <= {"hellfit.dataset", "hellfit.partition"}, imports
+
+
+@pytest.mark.parametrize(
+    "source, expected",
+    [
+        ("import numpy as np\nfrom hellfit.dataset import Dataset", ["hellfit.dataset"]),
+        ("import hellfit.mc_validate, math", ["hellfit.mc_validate"]),
+        ("from hellfit import criterion", ["hellfit"]),
+        ("from .cli import run\nfrom . import partition", [".cli", "."]),
+        ("def f():\n    from hellfit.mc_validate import validate_payload", ["hellfit.mc_validate"]),
+        ("import hellfitx\nfrom numpy import hellfit\nhellfit.cli", []),
+    ],
+)
+def test_checker_flags_hellfit_imports(source, expected):
+    assert hellfit_imports(source) == expected
+
+
+SAMPLER_CALLS = {"cholesky", "standard_normal"}
+
+
+def test_the_dataset_module_draws_from_no_law():
+    assert named_calls((PACKAGE / "dataset.py").read_text(), SAMPLER_CALLS) == []
+
+
+@pytest.mark.parametrize(
+    "module", ["hellfit.cli", "hellfit.partition", "hellfit.mc_validate", "hellfit.models"]
+)
 def test_importing_loads_no_thread_pool(module):
     """``concurrent.futures`` costs milliseconds to import; only CSV loads, fit's KS, the
     pairwise scan and the theorem-4 check use it."""

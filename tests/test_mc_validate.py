@@ -13,19 +13,17 @@ from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 from scipy.stats import multivariate_normal, norm
 
-from hellfit import mc_validate
+from hellfit import mc_validate, models
 from hellfit.criterion import (
     bias_correction,
     evaluate_fitness,
     pairwise_marginal_scan,
     pairwise_payload,
 )
-from hellfit.dataset import Dataset, RngStream, ar_covariance
+from hellfit.dataset import Dataset, RngStream
 from hellfit.divergence import generator_by_name, hellinger
 from hellfit.mc_validate import (
     BiasBoundReport,
-    MultivariateNormal,
-    UniformCube,
     bias_bound_check,
     fixed_risk_prediction,
     one_sample_risk_fixed,
@@ -33,6 +31,7 @@ from hellfit.mc_validate import (
     reproduce_table,
     validate_payload,
 )
+from hellfit.models import MultivariateNormal, UniformCube, ar_covariance
 from hellfit.partition import (
     CapacityError,
     PartitionSpec,
@@ -107,6 +106,30 @@ class TestDistributions:
         # equal-mass splits of the sampling distribution: each mass near 1/4
         assert np.all(np.abs(masses - 0.25) < 0.03)
 
+    @pytest.mark.parametrize(
+        "make, match",
+        [
+            # the draw's Cholesky reads the lower triangle (correlation 0), the masses 0.9
+            (lambda: MultivariateNormal([0, 0], [[1, 0.9], [0, 1]]), "symmetric"),
+            (lambda: MultivariateNormal([0, 0], [[1, 1e-9], [0, 1]]), "symmetric"),
+            (lambda: MultivariateNormal([0, 0, 0], np.eye(2)), r"3 x 3 .* \(2, 2\)"),
+            (lambda: MultivariateNormal([0, 0], np.eye(3)), r"2 x 2 .* \(3, 3\)"),
+            (lambda: MultivariateNormal([0, 0], np.ones((2, 1))), r"2 x 2 .* \(2, 1\)"),
+            (lambda: MultivariateNormal([0, 0], np.ones((2, 2, 1))), r"2 x 2 .* \(2, 2, 1\)"),
+            (lambda: MultivariateNormal([[0, 0]], np.eye(2)), r"vector.* \(1, 2\)"),
+            (lambda: MultivariateNormal(0.0, [[1.0]]), r"vector.* \(\)"),
+            (lambda: MultivariateNormal([], np.zeros((0, 0))), r"nonempty vector.* \(0,\)"),
+            (lambda: MultivariateNormal([0, np.nan], np.eye(2)), "finite"),
+            (lambda: MultivariateNormal([0, 0], [[1, 0], [0, np.inf]]), "finite"),
+            (lambda: UniformCube(0), "k must be >= 1"),
+        ],
+        ids=["asymmetric", "asymmetric-slightly", "mean-longer", "cov-larger", "cov-column",
+             "cov-3d", "mean-2d", "mean-scalar", "empty", "mean-nan", "cov-inf", "cube-0"],
+    )
+    def test_malformed_parameters_are_refused(self, make, match):
+        with pytest.raises(ValueError, match=match):
+            make()
+
 
 def reference_normal_cdf(x) -> np.ndarray:
     """``_normal_cdf`` one element at a time: ``math.erf`` below |z| = 1, a
@@ -138,7 +161,7 @@ class TestNormalCdf:
     @example(np.array(CDF_EDGES).reshape(2, 3, 2))
     @settings(max_examples=200, deadline=None)
     def test_bit_for_bit_the_per_element_reference(self, x):
-        assert mc_validate._normal_cdf(x).tobytes() == reference_normal_cdf(x).tobytes()
+        assert models._normal_cdf(x).tobytes() == reference_normal_cdf(x).tobytes()
 
 
 def reference_box_mass(dist, axes, box) -> float:
@@ -263,7 +286,7 @@ def last_axis_masses(dist, tree, panels=256):
         x = lo + (hi - lo) * (panel + (1 + t[:, None]) / 2) / panels
         cond = (z[:, :2, None] - c[:2, 2, None, None] * x) / s[:, None, None]
         density = np.exp(-x * x / 2) / math.sqrt(2 * math.pi)
-        rect = mc_validate._rectangle(*cond, r).reshape(x.shape)
+        rect = models._rectangle(*cond, r).reshape(x.shape)
         total += (hi - lo) / (2 * panels) * (w @ (density * rect))
     return total
 
@@ -277,12 +300,12 @@ def one_call_masses(dist, tree):
     c = cov / np.outer(sd, sd)
     z = (np.array(leaf_edges(tree)) - dist.mean[axes][:, None]) / sd[:, None]
     s = np.sqrt(1 - c[1:, 0] ** 2)
-    t, w = (np.array(half) for half in mc_validate._GAUSS_LEGENDRE[20])
+    t, w = (np.array(half) for half in models._GAUSS_LEGENDRE[20])
     frac = (np.arange(32)[:, None] + np.concatenate([1 - t, 1 + t]) / 2).ravel() / 32
     lo, hi = np.clip(z[:, 0], -9.0, 9.0)
     x = lo + (hi - lo) * frac[:, None]
     cond = (z[:, 1:, None] - c[1:, 0, None, None] * x) / s[:, None, None]
-    rect = mc_validate._rectangle(*cond, (c[1, 2] - c[1, 0] * c[2, 0]) / (s[0] * s[1]))
+    rect = models._rectangle(*cond, (c[1, 2] - c[1, 0] * c[2, 0]) / (s[0] * s[1]))
     phi = np.exp(-x * x / 2) / math.sqrt(2 * math.pi)
     return (hi - lo) / 64 * (np.tile(np.concatenate([w, w]), 32) @ (phi * rect.reshape(x.shape)))
 
