@@ -61,6 +61,12 @@ def _bounds_arg(text):
     return out
 
 
+_BOUNDS_HELP = (
+    "per-axis LO:HI pairs, comma separated; write --bounds=LO:HI,... with the '=', "
+    "or a negative LO reads as an option"
+)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hellfit",
@@ -78,7 +84,7 @@ def build_parser() -> argparse.ArgumentParser:
     fit.add_argument("--depth", type=_positive_int_arg, required=True)
     fit.add_argument("--branching", type=_branching_arg, required=True)
     fit.add_argument("--epsilon", type=_epsilon_arg, required=True)
-    fit.add_argument("--bounds", type=_bounds_arg, help="per-axis lo:hi pairs, comma separated")
+    fit.add_argument("--bounds", type=_bounds_arg, help=_BOUNDS_HELP)
 
     thr = sub.add_parser("threshold", help="Bayes-error threshold machinery")
     thr.add_argument("--generator", default="hellinger")
@@ -112,7 +118,7 @@ def build_parser() -> argparse.ArgumentParser:
     part.add_argument("--model", required=True)
     part.add_argument("--depth", type=_positive_int_arg, required=True)
     part.add_argument("--branching", type=_branching_arg, required=True)
-    part.add_argument("--bounds", type=_bounds_arg)
+    part.add_argument("--bounds", type=_bounds_arg, help=_BOUNDS_HELP)
 
     pair = sub.add_parser("pairwise", help="depth-2 criterion on every coordinate pair")
     pair.add_argument("--mother", required=True)

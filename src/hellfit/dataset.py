@@ -363,11 +363,14 @@ def _decimal_values(buf, starts, ends):
     """The cells in the vectorized grammar as doubles, and a mask of the others.
 
     Needs the x87 extended long double; the values of masked cells mean nothing.
+    Each temporary is freed at its last use, so a block's scan holds a few
+    per-cell arrays at a time, not all of them.
     """
     n = ends.size
     # the exponent, [eE][+-]?d{1,3}, after the first e of each cell: one search of the bytes
     lower = np.bitwise_or(buf[: ends[-1]], 32)  # compared in place: one temporary, not two
     at = np.flatnonzero(np.equal(lower, 101, out=lower.view(bool)))
+    del lower
     cells = np.searchsorted(ends, at)
     first = np.diff(cells, prepend=-1) != 0  # the first e of each cell
     at, cells = at[first], cells[first]
@@ -386,6 +389,7 @@ def _decimal_values(buf, starts, ends):
     stop[cells] = at - starts[cells]
     bad = stop > _CELL
     bad[cells] |= ~ok
+    del at, cells, first, sign, signed, count, ok, value, digit
     stop = np.minimum(stop, _CELL).astype(np.uint8)  # uint8 for the row loop, which ends at _CELL
 
     # the mantissa, [+-]?digits[.digits]: M in three uint32 chunks of 8 rows
@@ -414,6 +418,7 @@ def _decimal_values(buf, starts, ends):
         counts[r // 8] += is_digit
         chunks[r // 8] *= 1 + 9 * is_digit.view(np.uint8)
         chunks[r // 8] += digit * is_digit
+    del chars, ch, inside, digit, is_digit, is_point, ok, seen, signed, stop
     # M < 10**19 < 2**64 (leading zeros aside, at most 19 digits); checked
     # in floats, whose relative error is far below the margin to 2**64
     size = chunks[0] * _POW10_FLOAT[counts[1] + counts[2]] + chunks[1] * _POW10_FLOAT[counts[2]]
@@ -424,6 +429,7 @@ def _decimal_values(buf, starts, ends):
     for chunk, count in zip(chunks[1:], counts[1:]):
         mantissa *= _POW10_INT[count]
         mantissa += chunk
+    del chunks, counts, size, chunk, count, points, fraction
 
     # M and 10**|q| are exact in the x87 format (64-bit significand), so the
     # product or quotient rounds once; rounding it to a double is correct
@@ -432,6 +438,7 @@ def _decimal_values(buf, starts, ends):
     scale = _POW10[np.abs(power) * ~bad]
     wide = mantissa.astype(np.longdouble) / scale
     np.multiply(mantissa, scale, out=wide, where=power > 0)
+    del mantissa, scale, power
     bad |= (wide.view(np.uint64)[::2] & 0x7FF) == 0x400
     values = wide.astype(np.float64)
     np.negative(values, out=values, where=negative)

@@ -16,7 +16,7 @@ import pytest
 
 from hellfit.cli import _emit, run
 from hellfit.criterion import evaluate_fitness, fit_payload, ks_two_sample, pairwise_payload
-from hellfit.dataset import Dataset, RngStream, save_dataset
+from hellfit.dataset import Dataset, RngStream, load_dataset, save_dataset
 from hellfit.mc_validate import validate_payload
 from hellfit.models import MultivariateNormal
 from hellfit.partition import PartitionSpec
@@ -158,6 +158,34 @@ class TestFit:
         _, first, _ = run_cli(capsys, argv)
         _, second, _ = run_cli(capsys, argv)
         assert first == second
+
+
+class TestBounds:
+    """argparse reads a lone ``-8:8`` as an option, so negative bounds are
+    written ``--bounds=LO:HI,...``, the form ``--help`` and the README give."""
+
+    def test_negative_bounds_reach_the_report(self, sample_files, capsys):
+        mother, model = sample_files
+        argv = ["fit", "--mother", mother, "--model", model,
+                "--depth", "2", "--branching", "4", "--epsilon", "0.05"]
+        code, out, _ = run_cli(capsys, [*argv, "--bounds=-8:8,-inf:inf"])
+        assert code == 0
+        bounds = [(-8.0, 8.0), (-np.inf, np.inf)]
+        expected = fit_payload(
+            load_dataset(mother, bounds), load_dataset(model, bounds),
+            PartitionSpec(depth=2, branching=4), 0.05,
+        )
+        assert out == json.dumps(expected, indent=2) + "\n"
+        code, out, err = run_cli(capsys, [*argv, "--bounds=-0.5:8,-inf:inf"])
+        assert code == 1 and out == ""
+        assert "outside support (-0.5, 8.0]" in err
+
+    @pytest.mark.parametrize("command", ["fit", "partition"])
+    def test_help_gives_the_equals_form(self, capsys, command):
+        with pytest.raises(SystemExit) as exc:
+            run([command, "--help"])
+        assert exc.value.code == 0
+        assert "--bounds=LO:HI,..." in capsys.readouterr().out
 
 
 class TestFitIngest:

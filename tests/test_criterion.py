@@ -1,11 +1,13 @@
 import json
 import math
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.special
 import scipy.stats
+from hypothesis import example, given, settings, strategies as st
 
 from hellfit import criterion
 from hellfit.criterion import (
@@ -389,6 +391,91 @@ class TestKsTwoSample:
             assert struct.pack("<d", stat) == struct.pack("<d", ref)
             en = nx * ny / (nx + ny)
             assert p == pytest.approx(scipy.special.kolmogorov(math.sqrt(en) * ref), rel=1e-12)
+
+
+def merge_ks_two_sample(x, y) -> tuple[float, float]:
+    """The reference: both samples sorted in two halves of one buffer, merged
+    by one stable argsort, and both empirical CDFs read as running counts at
+    the last element of each run of tied values."""
+    x = np.asarray(x, dtype=float).ravel()
+    y = np.asarray(y, dtype=float).ravel()
+    if x.size == 0 or y.size == 0:
+        raise ValueError("both samples must be non-empty")
+    nx, n = x.size, x.size + y.size
+    pooled = np.concatenate([x, y])
+    if not np.isfinite(pooled).all():
+        raise ValueError("both samples must be finite")
+    pooled[:nx].sort()
+    pooled[nx:].sort()
+    order = np.argsort(pooled, kind="stable")
+    pooled = pooled[order]  # merged
+    from_x = order < nx
+    del order
+    last = np.empty(n, bool)  # the last of each run of ties
+    np.not_equal(pooled[1:], pooled[:-1], out=last[:-1])
+    last[-1] = True
+    del pooled
+    count = np.int32 if n < 2**31 else np.int64
+    below_x = np.cumsum(from_x, dtype=count)[last]
+    np.logical_not(from_x, out=from_x)
+    below_y = np.cumsum(from_x, dtype=count)[last]
+    del from_x, last
+    gap = below_x / nx
+    gap -= below_y / y.size
+    statistic = float(np.max(np.abs(gap, out=gap)))
+    effective = nx * y.size / n
+    p_value = criterion._kolmogorov_sf(math.sqrt(effective) * statistic)
+    return statistic, p_value
+
+
+TINY = 2.2250738585072014e-308  # the smallest normal double
+KS_ATOMS = [0.0, -0.0, 5e-324, -5e-324, TINY, -TINY, np.nextafter(TINY, 0.0), 1.0, -1.0]
+ks_value = st.one_of(st.sampled_from(KS_ATOMS), st.floats(allow_nan=False, allow_infinity=False))
+
+
+@st.composite
+def ks_samples(draw):
+    """Two samples of 1 to 40 values, ties, signed zeros and subnormals
+    likely, the second drawing some of its values from the first."""
+    x = draw(st.lists(ks_value, min_size=1, max_size=40))
+    y = draw(st.lists(st.one_of(ks_value, st.sampled_from(x)), min_size=1, max_size=40))
+    return (x, y) if draw(st.booleans()) else (y, x)
+
+
+class TestKsAgainstTheMerge:
+    """``ks_two_sample`` reads the CDFs at the distinct values of the smaller
+    sorted sample; the pooled merge reads them at every pooled value."""
+
+    @given(ks_samples())
+    @example(([0.5], [0.25, 0.5, 0.75]))  # a sample of size 1, nx < ny
+    @example(([0.25, 0.5, 0.75], [0.5]))  # nx > ny
+    @example(([2.0] * 4, [2.0] * 4))  # all tied, nx = ny
+    @example(([3.0] * 5, [1.0] * 2))  # each sample tied, none shared
+    @example(([0.0, -0.0, 5e-324], [-0.0, -5e-324, 5e-324, TINY]))
+    @example(([-0.0] * 3, [0.0] * 7))
+    @settings(max_examples=400, deadline=None)
+    def test_bit_for_bit(self, samples):
+        x, y = samples
+        got, ref = ks_two_sample(x, y), merge_ks_two_sample(x, y)
+        assert struct.pack("<2d", *got) == struct.pack("<2d", *ref)
+
+    @pytest.mark.parametrize("nx, ny", [(10**4, 2 * 10**5), (2 * 10**5, 10**4)])
+    def test_memory_is_the_sorted_copies_and_o_of_the_smaller(self, nx, ny):
+        """Beyond the two sorted copies, 8 (nx + ny) bytes, a few arrays of the
+        smaller sample's distinct values: 2.05 MiB with numpy 2.4 against 4.87
+        MiB for the merge, whose pooled buffer, argsort and gather grow with
+        nx + ny."""
+        rng = RngStream(16).generator()
+        x, y = rng.standard_normal(nx), rng.standard_normal(ny)
+        slack = 64 * 2**10  # numpy's small allocations
+        tracemalloc.start()
+        try:
+            got = ks_two_sample(x, y)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * (nx + ny) + 64 * min(nx, ny) + slack
+        assert struct.pack("<2d", *got) == struct.pack("<2d", *merge_ks_two_sample(x, y))
 
 
 def ulps_around(x, count):

@@ -6,6 +6,7 @@ import struct
 import sys
 import threading
 import time
+import tracemalloc
 import weakref
 from decimal import Decimal
 
@@ -144,6 +145,25 @@ def test_savetxt_cells_stay_in_the_kernel(monkeypatch):
     got = kernel(cells)
     assert calls == []
     assert got.tobytes() == reference(cells).tobytes()
+
+
+@x87
+def test_a_block_scan_peaks_below_five_times_its_bytes(tmp_path):
+    """The kernel frees each temporary at its last use: one 1 MiB block of
+    ``save_dataset`` output peaks at 4.0 times its bytes (7.8 when every
+    temporary lived until the kernel returned)."""
+    path = tmp_path / "data.csv"
+    values = dataset.RngStream(0).generator().standard_normal((60000, 3))
+    dataset.save_dataset(dataset.Dataset(values), path)
+    block = next(dataset._file_blocks(path))
+    tracemalloc.start()
+    try:
+        dataset._scan(block)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(block) > 2**20 - 64
+    assert peak < 5 * len(block)
 
 
 # ---------------------------------------------------------------- block edges
