@@ -1,7 +1,7 @@
 """Two-sample closeness evaluation via equal-mass discretization and the
 Hellinger distance, with a Bayes-error-rate-derived threshold."""
 
-from hellfit.dataset import Dataset, RngStream, load_dataset, save_dataset
+from hellfit.dataset import Dataset, RngStream, UsageError, load_dataset, save_dataset
 from hellfit.models import MultivariateNormal, UniformCube, ar_covariance
 from hellfit.divergence import (
     DivergenceGenerator,
@@ -39,6 +39,7 @@ from hellfit.criterion import (
 __all__ = [
     "Dataset",
     "RngStream",
+    "UsageError",
     "ar_covariance",
     "load_dataset",
     "save_dataset",

@@ -36,6 +36,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from hellfit.dataset import UsageError
 from hellfit.divergence import DivergenceGenerator
 
 _BISECT_ITERATIONS = 128
@@ -47,16 +48,21 @@ class DeltaStarResult(NamedTuple):
     feasible: bool
 
 
+def _check_delta(delta):
+    if not 0 < delta < math.inf:  # nan fails both comparisons
+        raise UsageError(f"delta must be a finite value > 0, not {delta!r}")
+
+
 def capital_delta_star(f: DivergenceGenerator, delta: float) -> DeltaStarResult:
     """Unique Delta >= 1 with (1/Delta) f(Delta) + (1 - 1/Delta) f(0) = delta,
     in closed form (see the module docstring).
 
     When f(0) is infinite (alpha <= -1) the equation has no root; the branch
     is flagged infeasible and the degenerate value 1 is returned, whose
-    1/(2 Delta*) term is 1/2 and never binds in alpha_of_delta.
+    1/(2 Delta*) term is 1/2 and never binds in alpha_of_delta.  A delta
+    that is not finite and > 0 raises UsageError.
     """
-    if delta <= 0:
-        raise ValueError("delta must be > 0")
+    _check_delta(delta)
     if math.isinf(f.evaluate(0.0)):
         return DeltaStarResult(1.0, False)
     a = f.alpha
@@ -88,10 +94,14 @@ def a_set_infimum(f: DivergenceGenerator, delta: float) -> float:
     to 0 at t = 1/2, so a single bisection finds the unique t with value
     delta whenever the curve reaches delta at all.  Returns 1/2 when the set
     is empty.  The grid is logit-spaced; a refinement pass tightens the
-    incumbent minimum.
+    incumbent minimum.  A delta that is not finite and > 0 raises UsageError.
+
+    When f(0) is infinite (alpha <= -1) the curve is unbounded as t -> x/2,
+    so the set is never empty; a scan that finds no point there (KL from
+    delta near 34, where the curve at the scan's lowest t tops out) raises
+    ValueError rather than return the 1/2 of an empty set.
     """
-    if delta <= 0:
-        raise ValueError("delta must be > 0")
+    _check_delta(delta)
 
     def scan(xs):
         xs = np.asarray(xs, dtype=float)
@@ -119,6 +129,11 @@ def a_set_infimum(f: DivergenceGenerator, delta: float) -> float:
     xs = 1.0 / (1.0 + np.exp(-u))
     t_best, x_best = scan(xs)
     if t_best is None:
+        if math.isinf(f.evaluate(0.0)):
+            raise ValueError(
+                f"{f.label}: the A-set infimum at delta {delta!r} is below the "
+                "resolution of the scan; f(0) is infinite, so the set is not empty"
+            )
         return 0.5
     span = 24.0 / _GRID_SIZE  # neighbor spacing in logit units
     u_best = math.log(x_best / (1 - x_best))

@@ -3,6 +3,10 @@
 Exit codes: 0 success, 1 runtime failure, 2 usage error.  The fit verdict is
 reported in the JSON payload, never via the exit code, so pipelines read the
 report instead of guessing from status.
+
+Every usage rule but argparse's own parsing, the per-command ``--format``
+table and ``fit``'s depth rule lives in the library, which raises
+``UsageError``; ``run`` turns it into exit 2 with the library's message.
 """
 
 from __future__ import annotations
@@ -11,14 +15,13 @@ import argparse
 import csv
 import io
 import json
-import math
 import sys
 
 import numpy as np
 
 from hellfit import bayes_threshold
 from hellfit.criterion import fit_payload, pairwise_payload
-from hellfit.dataset import load_dataset
+from hellfit.dataset import UsageError, load_dataset
 from hellfit.divergence import generator_by_name
 from hellfit.partition import PartitionSpec, build_moving_partition, tree_to_dict
 
@@ -37,7 +40,6 @@ def _checked(convert, ok, message):
 
 
 _epsilon_arg = _checked(float, lambda v: 0 < v < 0.5, "epsilon must be in (0, 0.5)")
-_delta_arg = _checked(float, lambda v: 0 < v < math.inf, "delta must be a finite value > 0")
 _fan_arg = _checked(int, lambda v: v >= 2, "branching values must be >= 2")
 _positive_int_arg = _checked(int, lambda v: v >= 1, "must be a positive integer")
 
@@ -90,7 +92,7 @@ def build_parser() -> argparse.ArgumentParser:
     thr.add_argument("--generator", default="hellinger")
     group = thr.add_mutually_exclusive_group(required=True)
     group.add_argument("--epsilon", type=_epsilon_arg)
-    group.add_argument("--delta", type=_delta_arg)
+    group.add_argument("--delta", type=float)
 
     sim = sub.add_parser("simulate", help="reproduce a simulation table")
     sim.add_argument("--table", type=int, choices=range(1, 7), required=True)
@@ -157,16 +159,16 @@ def _emit(args, payload):
 
 
 def _run_fit(args):
+    spec = PartitionSpec(depth=args.depth, branching=args.branching)
     mother = load_dataset(args.mother, bounds=args.bounds)
     model = load_dataset(args.model, bounds=args.bounds)
     if args.depth < model.k == mother.k:  # a mismatch is fit_payload's runtime error
-        raise argparse.ArgumentError(None, (
+        raise UsageError(
             f"argument --depth: depth {args.depth} leaves coordinates "
             f"{list(range(args.depth, model.k))} of k = {model.k} unsplit, and a close "
             f"verdict says nothing about them; use --depth {model.k}, or hellfit pairwise "
             "to score every coordinate pair"
-        ))
-    spec = PartitionSpec(depth=args.depth, branching=args.branching)
+        )
     _emit(args, fit_payload(mother, model, spec, args.epsilon))
 
 
@@ -202,8 +204,8 @@ def _run_validate(args):
 
 
 def _run_partition(args):
-    model = load_dataset(args.model, bounds=args.bounds)
     spec = PartitionSpec(depth=args.depth, branching=args.branching)
+    model = load_dataset(args.model, bounds=args.bounds)
     _emit(args, tree_to_dict(build_moving_partition(model, spec)))
 
 
@@ -211,22 +213,6 @@ def _run_pairwise(args):
     mother = load_dataset(args.mother)
     model = load_dataset(args.model)
     _emit(args, pairwise_payload(mother, model, args.branching, args.epsilon))
-
-
-def _unread_flag(args):
-    """The usage error for a flag given to a table or theorem that never reads
-    it, or None."""
-    if args.command == "simulate" and args.table >= 5:
-        mode, unread = f"table {args.table}", ("n1", "epsilon")
-    elif args.command == "validate":
-        mode = f"theorem {args.theorem}"
-        unread = ("n",) if args.theorem == 4 else ("n1", "n2", "config")
-    else:
-        return None
-    for name in unread:
-        if getattr(args, name) is not None:
-            return f"argument --{name}: not read by {mode}"
-    return None
 
 
 # each command's runner and the --format values it can write
@@ -249,19 +235,9 @@ def run(argv=None) -> int:
             f"{args.command} does not support --format {args.format}; "
             f"supported: {', '.join(formats)}"
         )
-    if args.command == "simulate" and args.table >= 5 and args.k is not None and args.k < 2:
-        parser.error("argument --k: tables 5 and 6 scan coordinate pairs and need k >= 2")
-    if isinstance(getattr(args, "branching", None), list) and len(args.branching) != args.depth:
-        parser.error(
-            f"argument --branching: {len(args.branching)} values for --depth {args.depth}; "
-            "give one value or one per level"
-        )
-    unread = _unread_flag(args)
-    if unread:
-        parser.error(unread)
     try:
         runner(args)
-    except argparse.ArgumentError as exc:  # found once the input files are read
+    except UsageError as exc:
         parser.error(str(exc))
     except (OSError, ValueError, np.linalg.LinAlgError) as exc:
         print(f"hellfit: error: {exc}", file=sys.stderr)

@@ -10,6 +10,7 @@ import sys
 from collections import deque
 from dataclasses import dataclass, field
 from functools import partial
+from numbers import Integral
 from pathlib import Path
 from typing import NamedTuple
 
@@ -18,6 +19,13 @@ import numpy as np
 
 class ParseError(ValueError):
     """Raised when a CSV file cannot be read as a numeric matrix."""
+
+
+class UsageError(ValueError):
+    """Raised for an argument outside a function's domain, or one it never reads.
+
+    ``hellfit`` turns it into a usage error (exit 2) with the message as given.
+    """
 
 
 @dataclass(frozen=True)
@@ -30,6 +38,12 @@ class RngStream:
 
     seed: int
     stream_id: int = 0
+
+    def __post_init__(self):
+        for name in ("seed", "stream_id"):
+            value = getattr(self, name)
+            if not isinstance(value, Integral) or value < 0:
+                raise UsageError(f"{name} must be an integer >= 0, not {value!r}")
 
     def generator(self) -> np.random.Generator:
         return np.random.default_rng([self.seed, self.stream_id])

@@ -16,7 +16,7 @@ import math
 
 import numpy as np
 
-from hellfit.dataset import RngStream, ordered
+from hellfit.dataset import RngStream, UsageError, ordered
 from hellfit.divergence import (
     DivergenceGenerator,
     alpha_generator,
@@ -182,7 +182,7 @@ def validate_payload(theorem, n=None, n1=None, n2=None, replicates=None, seed=0,
     ``config`` (default identical-normals: N(0, 1) twice at depth 1;
     shifted-normals: ``MultivariateNormal.shifted(2, 0.1, 0.1)`` against
     N(0, I) at depth 2; branching 4), with n1 1e3, n2 1e5 and 500 replicates.
-    An argument the theorem does not read raises ValueError if given.
+    An argument the theorem does not read raises UsageError if given.
     """
 
     def given(value, default):
@@ -217,10 +217,10 @@ def validate_payload(theorem, n=None, n1=None, n2=None, replicates=None, seed=0,
 
 
 def _refuse_unread(mode, **arguments):
-    """Raise ValueError naming the first of ``arguments`` that is given (not None)."""
+    """Raise UsageError naming the first of ``arguments`` that is given (not None)."""
     for name, value in arguments.items():
         if value is not None:
-            raise ValueError(f"{name} is not read by {mode}")
+            raise UsageError(f"{name} is not read by {mode}")
 
 
 _TABLE_SHIFT = {1: (0.0, 0.0), 2: (0.01, 0.01), 3: (0.1, 0.1), 4: (1.0, 1.0)}
@@ -240,8 +240,8 @@ def reproduce_table(
 
     Tables 1-4: one k=3 depth-3 partition scored at several mother sample
     sizes, at ``epsilon`` (None: 0.05).  Tables 5-6: the pairwise
-    two-dimensional scan at fixed n1; they read neither ``n1_values`` nor
-    ``epsilon``, and raise ValueError if either is given.
+    two-dimensional scan at fixed n1 and k >= 2 (None: 10); they read neither
+    ``n1_values`` nor ``epsilon``, and raise UsageError if either is given.
     """
     if table_id in _TABLE_SHIFT:
         alpha, beta = _TABLE_SHIFT[table_id]
@@ -274,7 +274,7 @@ def reproduce_table(
         _refuse_unread(f"table {table_id}", n1_values=n1_values, epsilon=epsilon)
         k = 10 if k is None else k
         if k < 2:
-            raise ValueError("pairwise scan needs k >= 2")
+            raise UsageError(f"table {table_id}: pairwise scan needs k >= 2, not {k}")
         n1 = _PAIRWISE_N1[table_id]
         mother = MultivariateNormal.shifted(k, 0.1, 0.1)
         model = MultivariateNormal(np.zeros(k), np.eye(k))

@@ -46,7 +46,7 @@ import numbers
 
 import numpy as np
 
-from hellfit.dataset import Dataset, ordered, usable_cpus
+from hellfit.dataset import Dataset, UsageError, ordered, usable_cpus
 
 
 class CapacityError(ValueError):
@@ -77,22 +77,25 @@ class PartitionSpec:
 
     def __post_init__(self):
         if not isinstance(self.depth, numbers.Integral) or self.depth < 1:
-            raise ValueError("depth must be an int >= 1")
+            raise UsageError("depth must be an int >= 1")
         b = self.branching
         if isinstance(b, numbers.Integral):
             b = [b] * self.depth
         elif not isinstance(b, (list, tuple)) or not _integral(b):
-            raise ValueError("branching must be an int or one int per level")
+            raise UsageError("branching must be an int or one int per level")
         object.__setattr__(self, "branching", tuple(int(bins) for bins in b))
         if len(self.branching) != self.depth:
-            raise ValueError("per-level branching list must have one entry per level")
+            raise UsageError(
+                f"branching: {len(self.branching)} values for depth {self.depth}; "
+                "give one value or one per level"
+            )
         if self.axis_order is not None:
             order = tuple(self.axis_order)
             if not _integral(order) or len(order) != self.depth or len(set(order)) != self.depth:
-                raise ValueError("axis_order must be a permutation of depth distinct axes")
+                raise UsageError("axis_order must be a permutation of depth distinct axes")
             object.__setattr__(self, "axis_order", tuple(int(a) for a in order))
         if min(self.branching) < 2:
-            raise ValueError("every branching value must be >= 2")
+            raise UsageError("every branching value must be >= 2")
 
     def axis_at(self, level: int) -> int:
         return level if self.axis_order is None else self.axis_order[level]
@@ -165,10 +168,12 @@ def pairwise_partitions(model: Dataset, branching: int) -> dict:
 
     Each tree equals ``build_moving_partition`` with ``axis_order=(i, j)``;
     axis i's root level is split once and shared by every pair (i, j).
+    ``branching`` is refused as ``PartitionSpec`` refuses it, before any split.
     """
+    fans = PartitionSpec(2, branching).branching
     if model.k < 2:
         raise ValueError("pairwise scan needs k >= 2")
-    fans, every_row = (branching, branching), np.array([0, model.n])
+    every_row = np.array([0, model.n])
 
     def pair(i, j, root, rows, starts):
         split, _, ends = _split_level(model.values[:, j], rows, starts, j, fans, 1)

@@ -3,6 +3,7 @@ import ast
 import hashlib
 import importlib.resources
 import json
+import math
 import os
 import re
 import shutil
@@ -14,10 +15,12 @@ import jsonschema
 import numpy as np
 import pytest
 
+from hellfit.bayes_threshold import threshold_report
 from hellfit.cli import _emit, run
 from hellfit.criterion import evaluate_fitness, fit_payload, ks_two_sample, pairwise_payload
-from hellfit.dataset import Dataset, RngStream, load_dataset, save_dataset
-from hellfit.mc_validate import validate_payload
+from hellfit.dataset import Dataset, RngStream, UsageError, load_dataset, save_dataset
+from hellfit.divergence import generator_by_name
+from hellfit.mc_validate import reproduce_table, validate_payload
 from hellfit.models import MultivariateNormal
 from hellfit.partition import PartitionSpec
 
@@ -37,6 +40,14 @@ def run_cli(capsys, argv):
     code = run(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def library_refusal(call):
+    """The message of the UsageError that ``call()`` raises: what ``hellfit`` prints
+    after ``hellfit: error: `` for the same arguments."""
+    with pytest.raises(UsageError) as exc:
+        call()
+    return str(exc.value)
 
 
 def load_schema(name):
@@ -390,6 +401,19 @@ class TestUnsupportedFormat:
 class TestUsageErrors:
     FILES = ["--mother", "m.csv", "--model", "g.csv"]
 
+    # argv -> the library call with the same arguments; the other values are
+    # refused by argparse's converters
+    LIBRARY = {
+        ("threshold", "--delta", "nan"):
+            lambda: threshold_report(generator_by_name("hellinger"), delta=math.nan),
+        ("threshold", "--delta", "inf"):
+            lambda: threshold_report(generator_by_name("hellinger"), delta=math.inf),
+        ("threshold", "--delta", "0"):
+            lambda: threshold_report(generator_by_name("hellinger"), delta=0.0),
+        ("simulate", "--table", "5", "--k", "1"): lambda: reproduce_table(5, k=1),
+        ("simulate", "--table", "6", "--k", "1"): lambda: reproduce_table(6, k=1),
+    }
+
     @pytest.mark.parametrize(
         "argv",
         [
@@ -411,7 +435,12 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as exc:
             run(argv)
         assert exc.value.code == 2
-        assert "error: argument" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        call = self.LIBRARY.get(tuple(argv))
+        if call is None:
+            assert "error: argument" in err
+        else:
+            assert f"hellfit: error: {library_refusal(call)}\n" in err
 
     @pytest.mark.parametrize(
         "argv, words",
@@ -437,25 +466,64 @@ class TestUsageErrors:
         assert re.search(r"\b_\w", err) is None, "a private function is named"
 
     @pytest.mark.parametrize(
-        "argv",
+        "argv, spec",
         [
-            ["fit", "--model", "g.csv", "--depth", "3", "--branching", "4,3", "--epsilon", "0.05"],
-            ["partition", "--depth", "2", "--branching", "4,3,2"],
+            (["fit", "--model", "g.csv", "--depth", "3", "--branching", "4,3", "--epsilon",
+              "0.05"], dict(depth=3, branching=[4, 3])),
+            (["partition", "--depth", "2", "--branching", "4,3,2"],
+             dict(depth=2, branching=[4, 3, 2])),
         ],
         ids=["fit", "partition"],
     )
-    def test_branching_of_the_wrong_length_exit_2(self, capsys, tmp_path, argv):
+    def test_branching_of_the_wrong_length_exit_2(self, capsys, tmp_path, argv, spec):
         """Refused before any file is opened: the input path does not exist."""
         missing = str(tmp_path / "missing.csv")
         flag = "--mother" if argv[0] == "fit" else "--model"
         with pytest.raises(SystemExit) as exc:
             run([*argv, flag, missing])
         assert exc.value.code == 2
-        assert "error: argument --branching:" in capsys.readouterr().err
+        message = library_refusal(lambda: PartitionSpec(**spec))
+        assert f"hellfit: error: {message}\n" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv, stream",
+        [
+            (["simulate", "--table", "1", "--n1", "100", "--n2", "5000", "--seed", "-1"],
+             (-1, 0)),
+            (["validate", "--theorem", "3", "--n", "50", "--replicates", "2", "--seed", "-3"],
+             (-3, 0)),
+        ],
+        ids=["simulate", "validate"],
+    )
+    def test_negative_seed_exit_2(self, capsys, argv, stream):
+        with pytest.raises(SystemExit) as exc:
+            run(argv)
+        assert exc.value.code == 2
+        message = library_refusal(lambda: RngStream(*stream))
+        assert message == f"seed must be an integer >= 0, not {stream[0]}"
+        assert f"hellfit: error: {message}\n" in capsys.readouterr().err
 
 
 class TestUnreadFlags:
     """A flag that the chosen table or theorem never reads is a usage error."""
+
+    # argv -> the library call with the same arguments
+    LIBRARY = {
+        ("simulate", "--table", "5", "--n1", "1000"): lambda: reproduce_table(5, [1000]),
+        ("simulate", "--table", "6", "--n1", "1000"): lambda: reproduce_table(6, [1000]),
+        ("validate", "--theorem", "2", "--n1", "1000"): lambda: validate_payload(2, n1=1000),
+        ("validate", "--theorem", "2", "--n2", "5000"): lambda: validate_payload(2, n2=5000),
+        ("validate", "--theorem", "2", "--config", "identical-normals"):
+            lambda: validate_payload(2, config="identical-normals"),
+        ("validate", "--theorem", "3", "--n1", "1000"): lambda: validate_payload(3, n1=1000),
+        ("validate", "--theorem", "3", "--n2", "5000"): lambda: validate_payload(3, n2=5000),
+        ("validate", "--theorem", "3", "--config", "shifted-normals"):
+            lambda: validate_payload(3, config="shifted-normals"),
+        ("validate", "--theorem", "4", "--n", "100"): lambda: validate_payload(4, n=100),
+        ("simulate", "--table", "5", "--epsilon", "0.2"): lambda: reproduce_table(5, epsilon=0.2),
+        ("simulate", "--table", "6", "--epsilon", "0.05"):
+            lambda: reproduce_table(6, epsilon=0.05),
+    }
 
     @pytest.mark.parametrize(
         "argv, flag",
@@ -477,7 +545,9 @@ class TestUnreadFlags:
         with pytest.raises(SystemExit) as exc:
             run(argv)
         assert exc.value.code == 2
-        assert f"error: argument {flag}: not read by" in capsys.readouterr().err
+        message = library_refusal(self.LIBRARY[tuple(argv)])
+        assert message.startswith(flag[2:])  # the library names the argument
+        assert f"hellfit: error: {message}\n" in capsys.readouterr().err
 
     def test_theorem_4_defaults(self, capsys):
         tail = ["--replicates", "2", "--seed", "5"]
@@ -537,6 +607,12 @@ class TestThreshold:
         assert payload["branch_values"]["capital_delta_star"] == pytest.approx(
             1.2, abs=1e-8
         )
+
+    def test_kl_beyond_its_scan_exit_1(self, capsys):
+        """At the parent this printed alpha_of_delta 0.5, the least conservative bound."""
+        code, out, err = run_cli(capsys, ["threshold", "--generator", "kl", "--delta", "34"])
+        assert code == 1 and out == ""
+        assert "hellfit: error: kl: the A-set infimum at delta 34.0 " in err
 
     def test_unknown_generator_exit_1(self, capsys):
         code, _, err = run_cli(

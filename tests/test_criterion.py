@@ -9,7 +9,7 @@ import scipy.special
 import scipy.stats
 from hypothesis import example, given, settings, strategies as st
 
-from hellfit import criterion
+from hellfit import criterion, partition
 from hellfit.criterion import (
     FitnessReport,
     bias_correction,
@@ -17,9 +17,10 @@ from hellfit.criterion import (
     fit_payload,
     implied_epsilon,
     ks_two_sample,
+    pairwise_payload,
     score_fitness,
 )
-from hellfit.dataset import Dataset, RngStream
+from hellfit.dataset import Dataset, RngStream, UsageError
 from hellfit.models import MultivariateNormal, ar_covariance
 from hellfit.partition import (
     CapacityError,
@@ -275,6 +276,24 @@ class TestPairwisePartitions:
         with pytest.raises(type(expected)) as exc:
             pairwise_partitions(model, 4)
         assert str(exc.value) == str(expected)
+
+
+    @pytest.mark.parametrize("branching", [1, 0, 2.5, (4,)], ids=["1", "0", "2.5", "one-of-two"])
+    def test_branching_is_refused_before_any_split(self, monkeypatch, branching):
+        """``PartitionSpec``'s rule is the only one: the same error, and no split made."""
+        rng = RngStream(23).generator()
+        mother = Dataset(rng.standard_normal((200, 3)))
+        model = Dataset(rng.standard_normal((2000, 3)))
+
+        def split(*args):
+            raise AssertionError("split before the branching was checked")
+
+        monkeypatch.setattr(partition, "_split_level", split)
+        with pytest.raises(UsageError) as expected:
+            PartitionSpec(2, branching)
+        with pytest.raises(UsageError) as exc:
+            pairwise_payload(mother, model, branching, 0.05)
+        assert str(exc.value) == str(expected.value)
 
 
 class TestWorkflowGolden:

@@ -5,6 +5,7 @@ from hellfit.dataset import (
     Dataset,
     ParseError,
     RngStream,
+    UsageError,
     load_dataset,
     save_dataset,
 )
@@ -46,6 +47,27 @@ class TestLoadDataset:
         save_dataset(ds, out)
         again = load_dataset(out)
         assert np.array_equal(ds.values, again.values)
+
+
+class TestRngStream:
+    @pytest.mark.parametrize(
+        "seed, stream_id, message",
+        [
+            (-1, 0, "seed must be an integer >= 0, not -1"),
+            (3, -2, "stream_id must be an integer >= 0, not -2"),
+            (1.0, 0, "seed must be an integer >= 0, not 1.0"),
+            ("7", 0, "seed must be an integer >= 0, not '7'"),
+            (0, None, "stream_id must be an integer >= 0, not None"),
+        ],
+    )
+    def test_refuses_what_is_not_an_integer_at_least_0(self, seed, stream_id, message):
+        with pytest.raises(UsageError) as exc:
+            RngStream(seed, stream_id)
+        assert str(exc.value) == message
+
+    def test_numpy_integers_draw_as_python_ints(self):
+        a = RngStream(np.int64(5), np.uint8(2)).generator().random(4)
+        assert a.tobytes() == RngStream(5, 2).generator().random(4).tobytes()
 
 
 class TestDatasetInvariants:

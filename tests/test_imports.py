@@ -31,6 +31,11 @@ those reports are made of.
 Nor is ``concurrent.futures`` loaded with the CLI, the partitions or the
 Monte Carlo module: only the CSV loader, ``fit``'s KS baseline, the pairwise
 scan and the theorem-4 check run thread pools, and they import it when they run.
+
+Every usage rule has one home: the library raises ``UsageError`` and ``run``
+maps it to exit 2.  So ``cli.py`` raises no ``argparse.ArgumentError``, holds
+no per-theorem or per-table list of the flags it never reads, and raises
+``UsageError`` only in ``_run_fit``, whose depth rule is the CLI's own.
 """
 
 import ast
@@ -388,3 +393,82 @@ def test_importing_loads_no_thread_pool(module):
     code = f"import sys, {module}; print('concurrent.futures' in sys.modules)"
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
     assert out.stdout == "False\n"
+
+
+def usage_error_raises(source: str) -> list[str]:
+    """``function:line`` of every ``raise UsageError`` in ``source``, named by the
+    innermost enclosing function (``<module>`` outside any)."""
+    found = []
+
+    def visit(node, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        elif isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if (_dotted(exc) or "").rsplit(".", 1)[-1] == "UsageError":
+                found.append(f"{function}:{node.lineno}")
+        for child in ast.iter_child_nodes(node):
+            visit(child, function)
+
+    visit(ast.parse(source), "<module>")
+    return found
+
+
+def test_the_cli_raises_usage_errors_only_for_fits_depth_rule():
+    raises = usage_error_raises((PACKAGE / "cli.py").read_text())
+    assert {site.split(":")[0] for site in raises} == {"_run_fit"}, raises
+
+
+@pytest.mark.parametrize(
+    "source, expected",
+    [
+        ("def f():\n    raise UsageError('x')", ["f:2"]),
+        ("raise dataset.UsageError", ["<module>:1"]),
+        ("def f():\n    def g():\n        raise UsageError()\n    raise UsageError()",
+         ["f:4", "g:3"]),
+        ("def f():\n    raise ValueError('UsageError')\nUsageError('not raised')", []),
+    ],
+)
+def test_checker_flags_usage_error_raises(source, expected):
+    assert sorted(usage_error_raises(source)) == sorted(expected)
+
+
+# what the library names the arguments a theorem or table never reads
+UNREAD_ARGUMENTS = {"n", "n1", "n2", "n1_values", "config", "epsilon"}
+
+
+def duplicated_usage_rules(source: str) -> list[str]:
+    """Uses of ``argparse.ArgumentError``, and lists of unread arguments: a tuple,
+    list or set literal of nothing but argument names, or text saying "not read by"."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        name = node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None)
+        if name == "ArgumentError":
+            found.append(f"ArgumentError:{node.lineno}")
+        elif isinstance(node, (ast.Tuple, ast.List, ast.Set)) and node.elts and all(
+            isinstance(elt, ast.Constant) and elt.value in UNREAD_ARGUMENTS for elt in node.elts
+        ):
+            found.append(f"unread-list:{node.lineno}")
+        elif isinstance(node, ast.Constant) and "not read by" in str(node.value):
+            found.append(f"not-read-by:{node.lineno}")
+    return found
+
+
+def test_the_cli_holds_no_second_copy_of_a_library_usage_rule():
+    assert duplicated_usage_rules((PACKAGE / "cli.py").read_text()) == []
+
+
+@pytest.mark.parametrize(
+    "source, expected",
+    [
+        ("raise argparse.ArgumentError(None, 'bad')", ["ArgumentError:1"]),
+        ("from argparse import ArgumentError\nexcept_ = ArgumentError", ["ArgumentError:2"]),
+        ("unread = ('n1', 'epsilon')", ["unread-list:1"]),
+        ("x = 1\nnames = ['n1', 'n2', 'config']", ["unread-list:2"]),
+        ("message = f'argument --{name}: not read by {mode}'", ["not-read-by:1"]),
+        ("raise argparse.ArgumentTypeError('x')\nformats = ('json', 'pretty')\n"
+         "parser.add_argument('--n1', type=int)\nnames = ('n1', 'json')", []),
+    ],
+)
+def test_checker_flags_duplicated_usage_rules(source, expected):
+    assert duplicated_usage_rules(source) == expected

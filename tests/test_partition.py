@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hellfit import partition
-from hellfit.dataset import Dataset, RngStream
+from hellfit.dataset import Dataset, RngStream, UsageError
 from hellfit.partition import (
     CapacityError,
     DegeneratePartitionError,
@@ -68,6 +68,20 @@ class TestMovingPartition:
     def test_bad_branching_rejected_at_construction(self, branching):
         with pytest.raises(ValueError, match="branching"):
             PartitionSpec(depth=2, branching=branching)
+
+    @pytest.mark.parametrize(
+        "depth, branching, message",
+        [
+            (3, (4, 3), "branching: 2 values for depth 3; give one value or one per level"),
+            (2, [4, 3, 2], "branching: 3 values for depth 2; give one value or one per level"),
+            (2, (4, 1), "every branching value must be >= 2"),
+            (0, 4, "depth must be an int >= 1"),
+        ],
+    )
+    def test_refusals_are_usage_errors(self, depth, branching, message):
+        with pytest.raises(UsageError) as exc:
+            PartitionSpec(depth=depth, branching=branching)
+        assert str(exc.value) == message
 
     @pytest.mark.parametrize("axis_order", [(1.9, 0), (1.0, 0.0), ("1", "0")])
     def test_non_integer_axis_order_rejected(self, axis_order):

@@ -11,6 +11,7 @@ from hellfit.bayes_threshold import (
     hellinger_alpha_approx,
     threshold_report,
 )
+from hellfit.dataset import UsageError
 from hellfit.divergence import alpha_generator, generator_by_name
 
 HELLINGER = generator_by_name("hellinger")
@@ -227,3 +228,59 @@ class TestThresholdReport:
             threshold_report(HELLINGER)
         with pytest.raises(ValueError):
             threshold_report(HELLINGER, epsilon=0.05, delta=0.02)
+
+
+class TestDeltaDomain:
+    """delta must be finite and > 0 in the library, not only on the command line."""
+
+    @pytest.mark.parametrize("delta", [math.inf, math.nan, 0.0, -1.0, -math.inf])
+    @pytest.mark.parametrize(
+        "call",
+        [capital_delta_star, a_set_infimum, alpha_of_delta,
+         lambda f, delta: threshold_report(f, delta=delta)],
+        ids=["capital_delta_star", "a_set_infimum", "alpha_of_delta", "threshold_report"],
+    )
+    @pytest.mark.parametrize("name", ["hellinger", "kl"])
+    def test_refused_as_a_usage_error(self, call, name, delta):
+        with pytest.raises(UsageError, match=r"^delta must be a finite value > 0, not "):
+            call(generator_by_name(name), delta)
+
+
+# alpha_of_delta before the KL scan learned to refuse an empty scan, as float.hex
+PINNED_GRID = [1e-6, 0.02, 0.3, 1.0, 3.9, 10.0, 34.0, 100.0]
+PINNED_ALPHA = {
+    "hellinger": ["0x1.ffa3516f61cc2p-2", "0x1.ccdd31ba8d96dp-2", "0x1.3d74f3a732502p-2",
+                  "0x1.5ab00ac7a92cep-3", "0x1.47bb30fdbc8e0p-13", "0x0.0p+0", "0x0.0p+0",
+                  "0x0.0p+0"],
+    "chi2": ["0x1.ffa3516effed2p-2", "0x1.cccccccccd0d4p-2", "0x1.39b4085e0544ep-2",
+             "0x1.5555555555556p-3", "0x1.d1745d1745d17p-5", "0x1.8618618618618p-6",
+             "0x1.dae6076b981d9p-8", "0x1.460cbc7f5cf9ap-9"],
+    "alpha:-2": ["0x1.ffa3516f35ff9p-2", "0x1.ccd5f021d065fp-2", "0x1.3be7d276c4faap-2",
+                 "0x1.4e5e131eb75f0p-3", "0x1.09e58ecd4ba14p-5", "0x1.c5b98edc42e78p-8",
+                 "0x1.76dbb25464ec2p-11", "0x1.77a91ba66dbfep-14"],
+}
+
+
+class TestUnboundedCurve:
+    """For f(0) = inf the A-set is never empty: an empty scan raises, never reads 1/2."""
+
+    def test_kl_is_non_increasing_where_it_resolves(self):
+        values = [alpha_of_delta(KL, delta) for delta in (0.1, 1.0, 10.0, 30.0, 33.0)]
+        assert all(a >= b for a, b in zip(values, values[1:])), values
+        assert values[-1] < 1e-4
+
+    @pytest.mark.parametrize("delta", [34.0, 100.0])
+    def test_kl_beyond_the_scan_raises(self, delta):
+        with pytest.raises(ValueError, match=rf"^kl: .* at delta {delta!r} ") as exc:
+            alpha_of_delta(KL, delta)
+        assert not isinstance(exc.value, UsageError)  # a runtime error: exit 1
+
+    def test_alpha_minus_two_still_resolves_at_100(self):
+        assert alpha_of_delta(generator_by_name("alpha:-2"), 100.0) == pytest.approx(
+            8.96e-05, rel=1e-3
+        )
+
+    @pytest.mark.parametrize("name", sorted(PINNED_ALPHA))
+    def test_other_generators_are_bit_identical(self, name):
+        f = generator_by_name(name)
+        assert [alpha_of_delta(f, d).hex() for d in PINNED_GRID] == PINNED_ALPHA[name]
